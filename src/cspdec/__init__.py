@@ -39,11 +39,9 @@ from .diffusion import (
     tail_log_density_ratio,
 )
 from .engine import (
-    DraftBundle,
     ResampleExhaustedError,
     RunStats,
     SpecDecodeConfig,
-    VerificationOutcome,
     acceptance_log_ratio,
     generate,
     rejection_resample,

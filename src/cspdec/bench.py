@@ -20,7 +20,7 @@ from .oracle import empirical_acceptance
 from .parallel import run_replicates
 from .rng import replicate_seed
 
-_AXIS_TAGS = {"gamma": 31, "prefill": 37, "temperature": 41, "trials": 43}
+_AXIS_TAGS = {"gamma": 31, "prefill": 37, "temperature": 41}
 
 
 def expected_speedup(alpha: float, gamma: int, cost_ratio: float) -> float:
@@ -194,20 +194,6 @@ def sweep_temperature(
             raise ValueError("temperatures must be positive")
     configs = [(float(t), replace(config, temperature=float(t))) for t in taus]
     return _sweep(target, draft, configs, "temperature", replicates, master_seed, jobs)
-
-
-def sweep_trials(
-    target: Model,
-    draft: Model,
-    config: SpecDecodeConfig,
-    gammas: Iterable[int],
-    replicates: int,
-    master_seed: int,
-    jobs: int | None = None,
-) -> SweepResult:
-    """Rejection-sampler effort across draft lengths (same axis as gamma)."""
-    configs = [(float(g), replace(config, gamma=int(g))) for g in gammas]
-    return _sweep(target, draft, configs, "trials", replicates, master_seed, jobs)
 
 
 @dataclass(frozen=True)

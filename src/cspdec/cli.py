@@ -18,13 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import (
-    expected_speedup,
-    sweep_gamma,
-    sweep_prefill,
-    sweep_temperature,
-    sweep_trials,
-)
+from .bench import expected_speedup, sweep_gamma, sweep_prefill, sweep_temperature
 from .configio import (
     ConfigError,
     dump_json,
@@ -46,7 +40,7 @@ EXIT_NUMERICAL = 3
 
 _GENERATE_TAG = 17
 
-SWEEP_KINDS = ("gamma", "prefill", "temperature", "trials")
+SWEEP_KINDS = ("gamma", "prefill", "temperature")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -166,7 +160,7 @@ def _cmd_sweep(args) -> int:
     target, draft = model_config.target, model_config.draft
     seed = run_config.seed
     try:
-        if args.kind in ("gamma", "trials"):
+        if args.kind == "gamma":
             values = [int(v) for v in args.axis]
         else:
             values = [float(v) for v in args.axis]
@@ -174,8 +168,6 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"axis values for {args.kind}: {exc}") from exc
     if args.kind == "gamma":
         result = sweep_gamma(target, draft, run_config, values, args.replicates, seed, args.jobs)
-    elif args.kind == "trials":
-        result = sweep_trials(target, draft, run_config, values, args.replicates, seed, args.jobs)
     elif args.kind == "prefill":
         for v in values:
             if not 0.0 <= v <= 1.0:

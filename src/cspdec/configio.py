@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,30 +36,13 @@ def _matrix(values, steps: int, dim: int, path: str) -> np.ndarray:
     return arr
 
 
-def denoiser_to_dict(spec: DenoiserSpec) -> dict:
-    return {
-        "state_coef": spec.state_coef.tolist(),
-        "cond_coef": spec.cond_coef.tolist(),
-        "offset": spec.offset.tolist(),
-        "variance": spec.variance.tolist(),
-        "nonlinearity": spec.nonlinearity,
-    }
-
-
-def backbone_to_dict(spec: ARBackboneSpec) -> dict:
-    return {
-        "prefix": spec.prefix.tolist(),
-        "weight": spec.weight.tolist(),
-        "bias": spec.bias.tolist(),
-        "nonlinearity": spec.nonlinearity,
-    }
+def _spec_to_dict(spec: DenoiserSpec | ARBackboneSpec) -> dict:
+    """Every field of a denoiser or backbone spec, arrays as nested lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(spec).items()}
 
 
 def model_to_dict(model: Model) -> dict:
-    return {
-        "denoiser": denoiser_to_dict(model.denoiser),
-        "backbone": backbone_to_dict(model.backbone),
-    }
+    return {"denoiser": _spec_to_dict(model.denoiser), "backbone": _spec_to_dict(model.backbone)}
 
 
 def _denoiser_from_dict(data: dict, steps: int, dim: int, path: str) -> DenoiserSpec:
@@ -115,15 +98,7 @@ class ModelConfig:
 
     def spec_config(self, **overrides) -> SpecDecodeConfig:
         """Build a run config from the document defaults plus overrides."""
-        params = {
-            "gamma": 4,
-            "length": 16,
-            "rho": 0.0,
-            "temperature": 1.0,
-            "max_resample_trials": 10_000,
-            "seed": 0,
-        }
-        params.update(self.run_defaults)
+        params = {"gamma": 4, "length": 16, **self.run_defaults}
         params.update({k: v for k, v in overrides.items() if v is not None})
         return SpecDecodeConfig(steps=self.steps, dim=self.dim, **params)
 
@@ -198,14 +173,7 @@ def results_to_dict(
     model_config: ModelConfig, run_config: SpecDecodeConfig, stats_list: list[RunStats]
 ) -> dict:
     echo = config_to_dict(model_config)
-    echo["run"] = {
-        "gamma": run_config.gamma,
-        "length": run_config.length,
-        "rho": run_config.rho,
-        "temperature": run_config.temperature,
-        "max_resample_trials": run_config.max_resample_trials,
-        "seed": run_config.seed,
-    }
+    echo["run"] = {key: getattr(run_config, key) for key in sorted(_RUN_KEYS)}
     return {
         "schema_version": SCHEMA_VERSION,
         "config": echo,

@@ -176,11 +176,9 @@ class DenoisingTrajectory:
         return self.outputs[-2]
 
     @property
-    def last_step_params(self) -> GaussianParams:
+    def last_params(self) -> GaussianParams:
+        """Mean and variance of the final step, the one that emits the token."""
         return GaussianParams(self.means[-1], self.variances[-1])
-
-    def step_params(self, row: int) -> GaussianParams:
-        return GaussianParams(self.means[row], self.variances[row])
 
 
 def run_chain(

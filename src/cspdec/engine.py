@@ -11,7 +11,7 @@ final-step log-densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .diffusion import (
     run_chain,
     tail_log_density_ratio,
 )
-from .gaussian import gaussian_logpdf, log_std_ratio
+from .gaussian import gaussian_logpdf
 from .rng import PositionStreams
 
 
@@ -56,35 +56,6 @@ class ResampleExhaustedError(RuntimeError):
             f"empirical per-trial acceptance ~ {mean_threshold:.3e} "
             "(draft and target densities are nearly identical)"
         )
-
-
-# Fault injection for the verification suite only.  ``set_fault`` deliberately
-# breaks a named piece of the algorithm so statistical tests can demonstrate
-# they would catch the corresponding bug.  Never set outside tests.
-#   drop-variance-ratio: remove the whole-chain variance product
-#     0.5 * sum_t log(var_q,t / var_p,t) over all T steps from the acceptance
-#     log-ratio and the resampling threshold alike: the tail term plus the
-#     final-step normaliser difference inside the two final-step densities.
-_FAULT: str | None = None
-FAULTS = ("drop-variance-ratio",)
-
-
-def set_fault(name: str | None) -> None:
-    global _FAULT
-    if name is not None and name not in FAULTS:
-        raise ValueError(f"unknown fault {name!r}")
-    _FAULT = name
-
-
-def get_fault() -> str | None:
-    return _FAULT
-
-
-def _variance_ratio_term(traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory) -> float:
-    """Tail term added to the two final-step log-densities (faulted: see ``FAULTS``)."""
-    if _FAULT == "drop-variance-ratio":
-        return -log_std_ratio(traj_q.variances[-1], traj_p.variances[-1])
-    return tail_log_density_ratio(traj_q, traj_p)
 
 
 @dataclass(frozen=True)
@@ -137,41 +108,6 @@ class DraftProposal:
     cond_q: np.ndarray
     record: NoiseRecord
     traj_q: DenoisingTrajectory
-    log_q_last: float
-
-
-@dataclass(frozen=True)
-class DraftBundle:
-    proposals: tuple[DraftProposal, ...]
-
-    def __len__(self) -> int:
-        return len(self.proposals)
-
-    def replay_consistent(self, draft: DenoiserSpec, temperature: float) -> bool:
-        """Re-run each proposal's chain from its record and compare outputs."""
-        for prop in self.proposals:
-            redo = run_chain(draft, prop.cond_q, prop.record, temperature)
-            if not np.array_equal(redo.token, prop.token):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class VerificationOutcome:
-    """Result of verifying one draft bundle."""
-
-    accepted_count: int
-    log_ratios: tuple[float, ...]
-    uniforms: tuple[float, ...]
-    resampled_token: np.ndarray | None
-    resample_trials: int | None
-
-    def __post_init__(self):
-        full = self.accepted_count == len(self.log_ratios)
-        if full != (self.resampled_token is None):
-            raise ValueError("resampled token must be present exactly when a draft was rejected")
-        if self.resample_trials is not None and self.resample_trials < 1:
-            raise ValueError("trial count must be >= 1 when present")
 
 
 @dataclass
@@ -204,27 +140,7 @@ class RunStats:
         return len(self.step_accepted)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config": self.config,
-            "proposal_positions": list(self.proposal_positions),
-            "proposal_log_ratios": list(self.proposal_log_ratios),
-            "proposal_uniforms": list(self.proposal_uniforms),
-            "proposal_examined": list(self.proposal_examined),
-            "proposal_accepted": list(self.proposal_accepted),
-            "step_proposed": list(self.step_proposed),
-            "step_accepted": list(self.step_accepted),
-            "resample_positions": list(self.resample_positions),
-            "resample_trials": list(self.resample_trials),
-            "origins": list(self.origins),
-            "tokens": [list(t) for t in self.tokens],
-            "draft_chain_calls": self.draft_chain_calls,
-            "target_chain_calls": self.target_chain_calls,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunStats":
-        return cls(**{k: data[k] for k in cls().to_dict().keys()})
+        return asdict(self)
 
 
 def acceptance_log_ratio(
@@ -244,9 +160,9 @@ def acceptance_log_ratio(
     Also returns the target trajectory.
     """
     traj_p = run_chain(target, cond_p, noise, temperature)
-    log_tail = _variance_ratio_term(traj_q, traj_p)
+    log_tail = tail_log_density_ratio(traj_q, traj_p)
     log_p = last_step_logpdf(target, cond_p, traj_p.last_input, x_out, temperature)
-    log_q = gaussian_logpdf(x_out, traj_q.last_step_params)
+    log_q = gaussian_logpdf(x_out, traj_q.last_params)
     return log_tail + log_p - log_q, traj_p
 
 
@@ -304,8 +220,8 @@ def rejection_resample(
         traj_p = run_chain(target, cond_p, record, temperature, position=position)
         candidate = traj_p.token
         traj_q = run_chain(draft, cond_q, record, temperature, position=position)
-        log_tail = _variance_ratio_term(traj_q, traj_p)
-        log_p = gaussian_logpdf(candidate, traj_p.last_step_params)
+        log_tail = tail_log_density_ratio(traj_q, traj_p)
+        log_p = gaussian_logpdf(candidate, traj_p.last_params)
         log_q = last_step_logpdf(draft, cond_q, traj_q.last_input, candidate, temperature)
         alpha = resample_threshold(log_q, log_tail, log_p)
         threshold_sum += alpha
@@ -325,10 +241,10 @@ def speculative_step(
     gamma: int,
     temperature: float,
     streams: PositionStreams,
+    stats: RunStats,
     max_resample_trials: int = 10_000,
     aligned: bool = True,
-    stats: RunStats | None = None,
-) -> tuple[SequenceState, VerificationOutcome]:
+) -> SequenceState:
     """One draft/verify/resample round, appending tokens to ``state``.
 
     Drafts ``min(gamma, room)`` tokens autoregressively from the draft model,
@@ -336,6 +252,8 @@ def speculative_step(
     ``aligned`` is off), appends the accepted prefix, then either patches the
     first rejection with a residual-distribution sample or, on full
     acceptance, appends one bonus token from the target at the next position.
+    The step's proposals, acceptance count, resample trials and chain calls
+    are recorded into ``stats``.
     """
     if state.remaining < 1:
         raise ValueError("sequence is already at capacity")
@@ -352,22 +270,16 @@ def speculative_step(
         traj_q = run_chain(draft.denoiser, cond_q, record, temperature, position=pos)
         proposals.append(
             DraftProposal(
-                position=pos,
-                token=traj_q.token,
-                cond_q=cond_q,
-                record=record,
-                traj_q=traj_q,
-                log_q_last=gaussian_logpdf(traj_q.token, traj_q.last_step_params),
+                position=pos, token=traj_q.token, cond_q=cond_q, record=record, traj_q=traj_q
             )
         )
         context.append(traj_q.token)
-    bundle = DraftBundle(tuple(proposals))
 
     # Verification phase: target conditions on the same prefix-plus-drafts.
     log_ratios: list[float] = []
     uniforms: list[float] = []
     cond_ps: list[np.ndarray] = []
-    for prop in bundle.proposals:
+    for prop in proposals:
         cond_p = condition(target.backbone, context, prop.position)
         noise = (
             prop.record
@@ -382,29 +294,30 @@ def speculative_step(
         cond_ps.append(cond_p)
 
     n = verify_drafts(log_ratios, uniforms)
-    for prop in bundle.proposals[:n]:
+    for prop in proposals[:n]:
         state.append(prop.token, DRAFT_ACCEPTED)
 
-    resampled_token = None
-    trials = None
-    draft_calls = n_draft
-    target_calls = n_draft  # one verification chain per proposal
+    # One draft and one target verification chain per proposal.
+    stats.draft_chain_calls += n_draft
+    stats.target_chain_calls += n_draft
     if n < n_draft:
         pos = base + n
-        resampled_token, trials = rejection_resample(
+        token, trials = rejection_resample(
             target.denoiser,
             cond_ps[n],
             draft.denoiser,
-            bundle.proposals[n].cond_q,
+            proposals[n].cond_q,
             temperature,
             streams.stream(pos),
             max_trials=max_resample_trials,
             position=pos,
         )
-        state.append(resampled_token, RESAMPLED)
+        state.append(token, RESAMPLED)
         # Each trial runs one target and one draft chain.
-        target_calls += trials
-        draft_calls += trials
+        stats.resample_positions.append(pos)
+        stats.resample_trials.append(trials)
+        stats.target_chain_calls += trials
+        stats.draft_chain_calls += trials
     elif state.remaining > 0:
         # Bonus token: the target's own sample at the next position.
         pos = base + n_draft
@@ -412,31 +325,17 @@ def speculative_step(
         record = draw_noise_record(target.steps, target.dim, streams.stream(pos))
         traj = run_chain(target.denoiser, cond_p, record, temperature, position=pos)
         state.append(traj.token, TARGET_FALLTHROUGH)
-        target_calls += 1
+        stats.target_chain_calls += 1
 
-    outcome = VerificationOutcome(
-        accepted_count=n,
-        log_ratios=tuple(log_ratios),
-        uniforms=tuple(uniforms),
-        resampled_token=resampled_token,
-        resample_trials=trials,
-    )
-
-    if stats is not None:
-        for i, prop in enumerate(bundle.proposals):
-            stats.proposal_positions.append(prop.position)
-            stats.proposal_log_ratios.append(log_ratios[i])
-            stats.proposal_uniforms.append(uniforms[i])
-            stats.proposal_examined.append(i <= n)
-            stats.proposal_accepted.append(i < n)
-        stats.step_proposed.append(n_draft)
-        stats.step_accepted.append(n)
-        if trials is not None:
-            stats.resample_positions.append(base + n)
-            stats.resample_trials.append(trials)
-        stats.draft_chain_calls += draft_calls
-        stats.target_chain_calls += target_calls
-    return state, outcome
+    for i, prop in enumerate(proposals):
+        stats.proposal_positions.append(prop.position)
+        stats.proposal_log_ratios.append(log_ratios[i])
+        stats.proposal_uniforms.append(uniforms[i])
+        stats.proposal_examined.append(i <= n)
+        stats.proposal_accepted.append(i < n)
+    stats.step_proposed.append(n_draft)
+    stats.step_accepted.append(n)
+    return state
 
 
 def generate(
@@ -447,7 +346,7 @@ def generate(
     """Full speculative generation: pre-fill, then speculative steps to length."""
     config.check_models(target, draft)
     streams = PositionStreams(config.seed)
-    stats = RunStats(seed=config.seed, config=config_echo(config))
+    stats = RunStats(seed=config.seed, config=asdict(config))
 
     state = prefill(target, config.length, config.rho, streams, config.temperature)
     stats.target_chain_calls += len(state)
@@ -459,28 +358,11 @@ def generate(
             config.gamma,
             config.temperature,
             streams,
+            stats,
             max_resample_trials=config.max_resample_trials,
             aligned=config.aligned,
-            stats=stats,
         )
     stats.origins = list(state.origins)
     stats.tokens = [[float(v) for v in tok] for tok in state.tokens]
     return state, stats
 
-
-def config_echo(config: SpecDecodeConfig) -> dict:
-    return {
-        "gamma": config.gamma,
-        "steps": config.steps,
-        "dim": config.dim,
-        "length": config.length,
-        "rho": config.rho,
-        "temperature": config.temperature,
-        "max_resample_trials": config.max_resample_trials,
-        "seed": config.seed,
-        "aligned": config.aligned,
-    }
-
-
-def config_from_echo(echo: dict) -> SpecDecodeConfig:
-    return SpecDecodeConfig(**echo)

@@ -1,8 +1,9 @@
 """Replicate execution across worker processes.
 
 Replicates are embarrassingly parallel: each one is fully determined by its
-own derived seed, so results are identical whatever the worker count.  Any
-engine fault injection active in the parent is forwarded to the workers.
+own derived seed, so results are identical whatever the worker count.
+The pool forks its workers (the default start method on Linux), so they run
+the engine exactly as it stands in the calling process, patches included.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import engine
 from .autoregressive import Model, target_only_generate
 from .engine import RunStats, SpecDecodeConfig, generate
 from .rng import PositionStreams
@@ -22,22 +22,15 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def _init_worker(fault: str | None) -> None:
-    engine.set_fault(fault)
-
-
-def _map_chunks(fn, payloads: list, jobs: int):
-    if jobs == 1 or len(payloads) < 2:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(engine.get_fault(),)
-    ) as pool:
+def _map_chunks(fn, target, draft, config, seeds: list[int], jobs: int | None) -> list:
+    """``fn`` over seed chunks, in seed order: serial for one job or few seeds."""
+    jobs = default_jobs() if jobs is None else max(1, jobs)
+    if jobs == 1 or len(seeds) < 2 * jobs:
+        return [fn((target, draft, config, seeds))]
+    chunk = (len(seeds) + 4 * jobs - 1) // (4 * jobs)
+    payloads = [(target, draft, config, seeds[i : i + chunk]) for i in range(0, len(seeds), chunk)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads))
-
-
-def _split(seeds: list[int], jobs: int) -> list[list[int]]:
-    chunk = max(1, (len(seeds) + 4 * jobs - 1) // (4 * jobs))
-    return [seeds[i : i + chunk] for i in range(0, len(seeds), chunk)]
 
 
 def _run_chunk(args) -> list[RunStats]:
@@ -50,11 +43,10 @@ def _run_chunk(args) -> list[RunStats]:
 
 
 def _token_chunk(args) -> np.ndarray:
-    target, draft, config, seeds = args
+    _, _, config, seeds = args
     out = np.empty((len(seeds), config.length, config.dim))
-    for r, seed in enumerate(seeds):
-        state, _ = generate(target, draft, config.with_seed(seed))
-        out[r] = state.tokens_array()
+    for r, stats in enumerate(_run_chunk(args)):
+        out[r] = stats.tokens
     return out
 
 
@@ -77,12 +69,7 @@ def run_replicates(
     jobs: int | None = None,
 ) -> list[RunStats]:
     """Run one generation per seed, in seed order, optionally in parallel."""
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    if jobs == 1 or len(seeds) < 2 * jobs:
-        return _run_chunk((target, draft, config, seeds))
-    parts = _map_chunks(
-        _run_chunk, [(target, draft, config, b) for b in _split(seeds, jobs)], jobs
-    )
+    parts = _map_chunks(_run_chunk, target, draft, config, seeds, jobs)
     return [stats for part in parts for stats in part]
 
 
@@ -94,11 +81,7 @@ def speculative_token_matrix(
     jobs: int | None = None,
 ) -> np.ndarray:
     """Token outputs only, stacked ``(runs, length, dim)``; cheap to ship back."""
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    parts = _map_chunks(
-        _token_chunk, [(target, draft, config, b) for b in _split(seeds, jobs)], jobs
-    )
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(_map_chunks(_token_chunk, target, draft, config, seeds, jobs))
 
 
 def baseline_token_matrix(
@@ -108,8 +91,4 @@ def baseline_token_matrix(
     jobs: int | None = None,
 ) -> np.ndarray:
     """Target-only token outputs, stacked ``(runs, length, dim)``."""
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    parts = _map_chunks(
-        _baseline_chunk, [(target, None, config, b) for b in _split(seeds, jobs)], jobs
-    )
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(_map_chunks(_baseline_chunk, target, None, config, seeds, jobs))

@@ -1,8 +1,9 @@
 """Pinned toy scenarios.
 
-The two shipped model pairs are fixed here (and mirrored as JSON configs in
-``cspdec/data``) so that every statistical result in the test suite and the
-benchmarks refers to one versioned set of numbers.
+The two shipped model pairs live as JSON configs in ``cspdec/data``, and
+:func:`standard_pair` and :func:`prefix_divergent_pair` load them from there,
+so that every statistical result in the test suite and the benchmarks refers
+to one versioned set of numbers.
 
 Both pinned pairs share their variance schedule on all steps except the last.
 With equal tail schedules the telescoped variance-product term is exactly
@@ -17,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .autoregressive import ARBackboneSpec, Model
+from .configio import load_model_config
 from .diffusion import DenoiserSpec
 from .engine import SpecDecodeConfig
 
@@ -32,6 +34,11 @@ def scenario_path(name: str) -> Path:
     return Path(str(resources.files("cspdec").joinpath(f"data/{name}.json")))
 
 
+def _shipped_pair(name: str) -> tuple[Model, Model, SpecDecodeConfig]:
+    model_config = load_model_config(scenario_path(name))
+    return model_config.target, model_config.draft, model_config.spec_config()
+
+
 def standard_pair() -> tuple[Model, Model, SpecDecodeConfig]:
     """General mismatched pair: the default subject of the statistical suite.
 
@@ -39,26 +46,7 @@ def standard_pair() -> tuple[Model, Model, SpecDecodeConfig]:
     variance; state coupling is strong enough that trajectory alignment
     visibly matters.  Returns (target, draft, default config).
     """
-    target = Model(
-        denoiser=DenoiserSpec(
-            state_coef=[[0.9], [0.55], [0.35]],
-            cond_coef=[[0.5], [0.35], [0.6]],
-            offset=[[0.0], [0.1], [0.05]],
-            variance=[[0.7], [0.4], [0.2]],
-        ),
-        backbone=ARBackboneSpec(prefix=[0.25], weight=[0.55], bias=[0.1]),
-    )
-    draft = Model(
-        denoiser=DenoiserSpec(
-            state_coef=[[0.75], [0.6], [0.45]],
-            cond_coef=[[0.4], [0.3], [0.5]],
-            offset=[[0.1], [0.0], [0.18]],
-            variance=[[0.7], [0.4], [0.3]],
-        ),
-        backbone=ARBackboneSpec(prefix=[-0.15], weight=[0.45], bias=[0.18]),
-    )
-    config = SpecDecodeConfig(gamma=3, steps=3, dim=1, length=6, seed=0)
-    return target, draft, config
+    return _shipped_pair(STANDARD_PAIR)
 
 
 def prefix_divergent_pair() -> tuple[Model, Model, SpecDecodeConfig]:
@@ -69,21 +57,7 @@ def prefix_divergent_pair() -> tuple[Model, Model, SpecDecodeConfig]:
     prefix embeddings make position-0 drafts mostly rejectable.  This is the
     scenario where token pre-filling pays.
     """
-    denoiser_kwargs = dict(
-        state_coef=[[0.8], [0.5], [0.3]],
-        cond_coef=[[0.4], [0.3], [0.55]],
-        variance=[[0.6], [0.4], [0.25]],
-    )
-    target = Model(
-        denoiser=DenoiserSpec(offset=[[0.0], [0.05], [0.0]], **denoiser_kwargs),
-        backbone=ARBackboneSpec(prefix=[0.9], weight=[0.5], bias=[0.0]),
-    )
-    draft = Model(
-        denoiser=DenoiserSpec(offset=[[0.0], [0.05], [0.12]], **denoiser_kwargs),
-        backbone=ARBackboneSpec(prefix=[-0.9], weight=[0.5], bias=[0.0]),
-    )
-    config = SpecDecodeConfig(gamma=4, steps=3, dim=1, length=20, seed=0)
-    return target, draft, config
+    return _shipped_pair(PREFIX_DIVERGENT_PAIR)
 
 
 def decoupled_pair(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cspdec.gaussian import log_std_ratio
 from cspdec.parallel import run_replicates
 from cspdec.rng import replicate_seed
 from cspdec.scenarios import prefix_divergent_pair, standard_pair
@@ -17,6 +18,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def drop_whole_chain_variance_product(traj_q, traj_p) -> float:
+    """Criterion-2 mutation, patched over ``engine.tail_log_density_ratio``.
+
+    Removes the whole-chain variance product 0.5 * sum_t log(var_q,t / var_p,t)
+    over all T steps from the acceptance log-ratio and the resampling threshold
+    alike: it returns minus the final-step normaliser difference in place of
+    the tail term.  Process-pool workers are forked, so they inherit the patch.
+    """
+    return -log_std_ratio(traj_q.variances[-1], traj_p.variances[-1])
 
 
 @pytest.fixture(scope="session")

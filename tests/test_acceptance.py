@@ -39,7 +39,7 @@ from cspdec.rng import replicate_seed
 from cspdec.scenarios import decoupled_pair, standard_pair, stationary_pair
 
 import conftest
-from conftest import JOBS, random_denoiser
+from conftest import JOBS, drop_whole_chain_variance_product, random_denoiser
 
 KS_THRESHOLD = 0.015
 KS_RUNS = 50_000
@@ -77,13 +77,11 @@ def ks_suite(pinned):
     faithful = distribution_check(
         target, draft, config, runs=KS_RUNS, jobs=JOBS, reference=reference
     )
-    engine.set_fault("drop-variance-ratio")
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "tail_log_density_ratio", drop_whole_chain_variance_product)
         mutated = distribution_check(
             target, draft, config, runs=KS_RUNS, jobs=JOBS, reference=reference
         )
-    finally:
-        engine.set_fault(None)
     return faithful, mutated
 
 
@@ -179,7 +177,8 @@ def test_criterion_2_distribution_preservation(ks_suite):
 def test_criterion_2_mutation_omitting_variance_ratio_must_fail_ks(ks_suite):
     """A build without the whole-chain variance product must fail the KS suite.
 
-    The ``drop-variance-ratio`` fault removes ``0.5 * sum_t log(var_q,t /
+    The mutation (``conftest.drop_whole_chain_variance_product``, patched over
+    ``engine.tail_log_density_ratio``) removes ``0.5 * sum_t log(var_q,t /
     var_p,t)`` over all T steps from the acceptance ratio and the resampling
     threshold: the tail term plus the final-step normaliser difference inside
     the two final-step densities.  Removing only the tail term would be a

@@ -138,7 +138,7 @@ class TestLastStepLogpdf:
         cond = rng.uniform(-1, 1, 1)
         traj = run_chain(spec, cond, draw_noise_record(3, 1, rng))
         via_substitution = last_step_logpdf(spec, cond, traj.last_input, traj.token)
-        via_record = gaussian_logpdf(traj.token, traj.last_step_params)
+        via_record = gaussian_logpdf(traj.token, traj.last_params)
         assert via_substitution == pytest.approx(via_record, abs=1e-12)
 
     def test_quarter_variance_point(self):
