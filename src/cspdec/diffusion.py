@@ -19,7 +19,7 @@ from .gaussian import (
     VARIANCE_FLOOR,
     GaussianParams,
     as_vector,
-    gaussian_logpdf,
+    diag_logpdf,
 )
 
 NONLINEARITIES = ("identity", "tanh")
@@ -45,7 +45,7 @@ def _as_step_matrix(values, name: str) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a (T, d) array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -131,12 +131,17 @@ class NoiseRecord:
 
 
 def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRecord:
-    """Draw ``x_T`` and all step noises i.i.d. standard normal from ``rng``."""
+    """Draw ``x_T`` and all step noises i.i.d. standard normal from ``rng``.
+
+    One ``(steps + 1, dim)`` draw: ``x_T`` is its first row and the step
+    noises the rest, the same stream order as drawing ``x_T`` first.
+    """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return NoiseRecord(rng.standard_normal(dim), rng.standard_normal((steps, dim)))
+    z = rng.standard_normal((steps + 1, dim))
+    return NoiseRecord(z[0], z[1:])
 
 
 @dataclass(frozen=True)
@@ -190,6 +195,9 @@ def run_chain(
 ) -> DenoisingTrajectory:
     """Run the denoising chain on a fixed noise record.
 
+    The inputs are checked once on entry; the chain itself is arithmetic only,
+    and its states are checked for divergence once, after the last step.
+
     Parameters
     ----------
     spec : DenoiserSpec
@@ -209,37 +217,40 @@ def run_chain(
     DenoisingTrajectory
     """
     cond = as_vector(cond, dim=spec.dim, name="cond")
-    if noise.steps != spec.steps or noise.dim != spec.dim:
+    eps = noise.eps
+    if eps.shape != spec.state_coef.shape:
         raise ValueError(
-            f"noise record shape ({noise.steps}, {noise.dim}) does not match "
-            f"denoiser shape ({spec.steps}, {spec.dim})"
+            f"noise record shape {eps.shape} does not match "
+            f"denoiser shape {spec.state_coef.shape}"
         )
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
 
     t2 = float(temperature) ** 2
-    steps, dim = spec.steps, spec.dim
-    means = np.empty((steps, dim))
-    outputs = np.empty((steps, dim))
+    steps = eps.shape[0]
+    means = np.empty(eps.shape)
+    outputs = np.empty(eps.shape)
     variances = t2 * spec.variance
+    scales = np.sqrt(variances)
     x = noise.x_init
     for row in range(steps):
         mean = spec.step_mean(row, x, cond)
-        x = np.sqrt(variances[row]) * noise.eps[row] + mean
-        if not np.all(np.isfinite(x)):
-            raise ChainDivergenceError(step=steps - row, position=position)
+        x = scales[row] * eps[row] + mean
         means[row] = mean
         outputs[row] = x
-    log_var_tail = float(0.5 * np.sum(np.log(variances[:-1])))
-    for arr in (means, outputs):
+    finite = np.isfinite(outputs).all(axis=1)
+    if not finite.all():
+        # Name the first non-finite row: a later one can come back finite
+        # through tanh.
+        raise ChainDivergenceError(step=steps - int(finite.argmin()), position=position)
+    log_var_tail = float(0.5 * np.log(variances[:-1]).sum())
+    for arr in (means, outputs, variances):
         arr.flags.writeable = False
-    variances = variances.copy()
-    variances.flags.writeable = False
     return DenoisingTrajectory(
         x_init=noise.x_init,
         means=means,
         variances=variances,
-        eps=noise.eps,
+        eps=eps,
         outputs=outputs,
         log_var_tail=log_var_tail,
     )
@@ -259,12 +270,12 @@ def last_step_logpdf(
     """
     cond = as_vector(cond, dim=spec.dim, name="cond")
     x_prev = as_vector(x_prev, dim=spec.dim, name="x_prev")
+    x_out = as_vector(x_out, dim=spec.dim, name="x")
     last = spec.steps - 1
-    params = GaussianParams(
-        spec.step_mean(last, x_prev, cond),
-        (float(temperature) ** 2) * spec.variance[last],
-    )
-    return gaussian_logpdf(x_out, params)
+    mean = spec.step_mean(last, x_prev, cond)
+    if not np.isfinite(mean).all():
+        raise ValueError("mean contains non-finite components")
+    return diag_logpdf(x_out, mean, (float(temperature) ** 2) * spec.variance[last])
 
 
 def tail_log_density_ratio(traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory) -> float:

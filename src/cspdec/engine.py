@@ -29,11 +29,10 @@ from .diffusion import (
     DenoisingTrajectory,
     NoiseRecord,
     draw_noise_record,
-    last_step_logpdf,
     run_chain,
     tail_log_density_ratio,
 )
-from .gaussian import gaussian_logpdf
+from .gaussian import as_vector, diag_logpdf
 from .rng import PositionStreams
 
 
@@ -104,7 +103,6 @@ class DraftProposal:
     """One drafted token with everything needed to verify it."""
 
     position: int
-    token: np.ndarray
     cond_q: np.ndarray
     record: NoiseRecord
     traj_q: DenoisingTrajectory
@@ -155,14 +153,16 @@ def acceptance_log_ratio(
 
     Runs the target chain on the supplied noise record (the draft's record,
     under alignment), then combines the telescoped tail term with the two
-    final-step log-densities: the target's evaluated at the drafted token by
-    substitution, the draft's at the same token under its own final step.
+    final-step log-densities at the drafted token: the target's by
+    substitution into its final step given its own ``x_1``, the draft's under
+    its own final step.  Both are read off the trajectories' last rows.
     Also returns the target trajectory.
     """
     traj_p = run_chain(target, cond_p, noise, temperature)
     log_tail = tail_log_density_ratio(traj_q, traj_p)
-    log_p = last_step_logpdf(target, cond_p, traj_p.last_input, x_out, temperature)
-    log_q = gaussian_logpdf(x_out, traj_q.last_params)
+    x_out = as_vector(x_out, dim=target.dim, name="x")
+    log_p = diag_logpdf(x_out, traj_p.means[-1], traj_p.variances[-1])
+    log_q = diag_logpdf(x_out, traj_q.means[-1], traj_q.variances[-1])
     return log_tail + log_p - log_q, traj_p
 
 
@@ -204,7 +204,7 @@ def rejection_resample(
     rng: np.random.Generator,
     max_trials: int = 10_000,
     position: int | None = None,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int]:
     """Sample from the residual distribution by acceptance-rejection.
 
     Each trial draws an entirely fresh noise record, takes the candidate from
@@ -221,8 +221,8 @@ def rejection_resample(
         candidate = traj_p.token
         traj_q = run_chain(draft, cond_q, record, temperature, position=position)
         log_tail = tail_log_density_ratio(traj_q, traj_p)
-        log_p = gaussian_logpdf(candidate, traj_p.last_params)
-        log_q = last_step_logpdf(draft, cond_q, traj_q.last_input, candidate, temperature)
+        log_p = diag_logpdf(candidate, traj_p.means[-1], traj_p.variances[-1])
+        log_q = diag_logpdf(candidate, traj_q.means[-1], traj_q.variances[-1])
         alpha = resample_threshold(log_q, log_tail, log_p)
         threshold_sum += alpha
         if rng.random() <= alpha:
@@ -268,11 +268,7 @@ def speculative_step(
         cond_q = condition(draft.backbone, context, pos)
         record = draw_noise_record(draft.steps, draft.dim, streams.stream(pos))
         traj_q = run_chain(draft.denoiser, cond_q, record, temperature, position=pos)
-        proposals.append(
-            DraftProposal(
-                position=pos, token=traj_q.token, cond_q=cond_q, record=record, traj_q=traj_q
-            )
-        )
+        proposals.append(DraftProposal(position=pos, cond_q=cond_q, record=record, traj_q=traj_q))
         context.append(traj_q.token)
 
     # Verification phase: target conditions on the same prefix-plus-drafts.
@@ -287,7 +283,7 @@ def speculative_step(
             else draw_noise_record(target.steps, target.dim, streams.stream(prop.position))
         )
         lr, _ = acceptance_log_ratio(
-            prop.traj_q, target.denoiser, cond_p, noise, prop.token, temperature
+            prop.traj_q, target.denoiser, cond_p, noise, prop.traj_q.token, temperature
         )
         log_ratios.append(lr)
         uniforms.append(float(streams.stream(prop.position).random()))
@@ -295,7 +291,7 @@ def speculative_step(
 
     n = verify_drafts(log_ratios, uniforms)
     for prop in proposals[:n]:
-        state.append(prop.token, DRAFT_ACCEPTED)
+        state.append(prop.traj_q.token, DRAFT_ACCEPTED)
 
     # One draft and one target verification chain per proposal.
     stats.draft_chain_calls += n_draft

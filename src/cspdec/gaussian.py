@@ -20,14 +20,16 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 def as_vector(values, dim: int | None = None, name: str = "value") -> np.ndarray:
     """Coerce to a finite, read-only 1-D float64 array (a token or d-vector)."""
-    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name} must have at least one component")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite components")
     arr = arr.copy()
     arr.flags.writeable = False
@@ -48,7 +50,7 @@ class GaussianParams:
             raise ValueError(
                 f"variance shape {var.shape} does not match mean shape {mean.shape}"
             )
-        if not np.all(np.isfinite(var)):
+        if not np.isfinite(var).all():
             raise ValueError("variance contains non-finite components")
         var = np.maximum(var, VARIANCE_FLOOR)
         var.flags.writeable = False
@@ -61,16 +63,23 @@ class GaussianParams:
 
 
 def gaussian_logpdf(x, params: GaussianParams) -> float:
-    """Exact log-density of ``x`` under a diagonal Gaussian, in nats.
+    """Exact log-density of ``x`` under a diagonal Gaussian, in nats."""
+    x = as_vector(x, dim=params.dim, name="x")
+    return diag_logpdf(x, params.mean, params.variance)
+
+
+def diag_logpdf(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
+    """The formula of :func:`gaussian_logpdf` on arrays that are already checked.
 
     Computed as ``sum_i [-0.5*log(2*pi*var_i) - (x_i - mean_i)^2 / (2*var_i)]``
-    entirely in log space.
+    entirely in log space, with ``variance`` first clamped to
+    ``VARIANCE_FLOOR`` as :class:`GaussianParams` does, so reading a density
+    straight off a trajectory's arrays gives the same bits as building the
+    parameters first.
     """
-    x = as_vector(x, dim=params.dim, name="x")
-    dev = x - params.mean
-    return float(
-        np.sum(-0.5 * (LOG_2PI + np.log(params.variance)) - dev * dev / (2.0 * params.variance))
-    )
+    variance = np.maximum(variance, VARIANCE_FLOOR)
+    dev = x - mean
+    return float((-0.5 * (LOG_2PI + np.log(variance)) - dev * dev / (2.0 * variance)).sum())
 
 
 def reparameterize(params: GaussianParams, eps) -> np.ndarray:

@@ -62,6 +62,16 @@ class TestDrawNoiseRecord:
         with pytest.raises(ValueError):
             draw_noise_record(1, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("steps, dim", [(2, 1), (3, 2), (7, 5), (20, 3)])
+    def test_stream_order_is_x_init_then_step_noise(self, steps, dim):
+        # Every seeded run replays this order: x_T's d normals, then the
+        # (T, d) step noises, then whatever the caller draws next.
+        rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+        rec = draw_noise_record(steps, dim, rng)
+        assert np.array_equal(rec.x_init, twin.standard_normal(dim))
+        assert np.array_equal(rec.eps, twin.standard_normal((steps, dim)))
+        assert rng.random() == twin.random()
+
 
 class TestRunChain:
     def test_identity_chain_with_zero_noise_passes_state_through(self):
@@ -107,6 +117,22 @@ class TestRunChain:
         with np.errstate(over="ignore"), pytest.raises(ChainDivergenceError) as err:
             run_chain(spec, [0.0], noise)
         assert err.value.step == 2
+
+    def test_divergence_names_the_first_non_finite_row(self):
+        # Row 0 overflows (sqrt(1e300) * 1e160); row 1 is tanh(inf) + 0.5,
+        # finite again, so only row 0 (t = 2) can be reported.
+        spec = DenoiserSpec(
+            state_coef=[[0.0], [1.0]],
+            cond_coef=[[0.0], [0.0]],
+            offset=[[0.0], [0.0]],
+            variance=[[1e300], [1.0]],
+            nonlinearity="tanh",
+        )
+        noise = NoiseRecord(x_init=[0.0], eps=[[1e160], [0.5]])
+        with np.errstate(over="ignore"), pytest.raises(ChainDivergenceError) as err:
+            run_chain(spec, [0.0], noise, position=4)
+        assert err.value.step == 2
+        assert err.value.position == 4
 
     def test_outputs_replay_reparameterization_exactly(self):
         rng = np.random.default_rng(11)

@@ -6,7 +6,14 @@ import pytest
 
 import cspdec.engine as engine
 from cspdec.autoregressive import DRAFT_ACCEPTED, RESAMPLED, TARGET_FALLTHROUGH
-from cspdec.diffusion import DenoiserSpec, NoiseRecord, draw_noise_record, run_chain
+from cspdec.diffusion import (
+    DenoiserSpec,
+    NoiseRecord,
+    draw_noise_record,
+    last_step_logpdf,
+    run_chain,
+    tail_log_density_ratio,
+)
 from cspdec.engine import (
     ResampleExhaustedError,
     RunStats,
@@ -18,12 +25,13 @@ from cspdec.engine import (
     speculative_step,
     verify_drafts,
 )
+from cspdec.gaussian import GaussianParams, gaussian_logpdf
 from cspdec.oracle import Grid1D, beta_integral, empirical_acceptance, gaussian_density
 from cspdec.rng import PositionStreams, replicate_seed
 from cspdec.scenarios import decoupled_pair
 from cspdec.autoregressive import SequenceState, target_only_generate
 
-from conftest import drop_whole_chain_variance_product
+from conftest import drop_whole_chain_variance_product, random_denoiser
 
 
 def fixed_gaussian_denoiser(mean, var, tail_var=1.0):
@@ -58,6 +66,35 @@ class TestAcceptanceLogRatio:
         assert lr == pytest.approx(-1.0439385 + 0.7257913, abs=1e-6)
         assert math.exp(lr) == pytest.approx(0.7275, abs=1e-4)
         assert traj_p.steps == 2
+
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-7])
+    def test_trajectory_rows_give_the_gaussian_params_bits(self, tau):
+        # The final-step densities are read off the trajectory arrays; they
+        # must equal the GaussianParams path exactly, variance floor included
+        # (at tau = 1e-7 every tau^2 * var lies below it).
+        rng = np.random.default_rng(int(tau * 1e7))
+        t2 = tau**2
+        for _ in range(20):
+            steps, dim = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            target, draft = random_denoiser(rng, steps, dim), random_denoiser(rng, steps, dim)
+            cond_q, cond_p = rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)
+            noise = draw_noise_record(steps, dim, rng)
+            traj_q = run_chain(draft, cond_q, noise, tau)
+            x = traj_q.token
+            lr, traj_p = acceptance_log_ratio(traj_q, target, cond_p, noise, x, tau)
+            p_mean = target.step_mean(steps - 1, traj_p.last_input, cond_p)
+            expected = (
+                tail_log_density_ratio(traj_q, traj_p)
+                + gaussian_logpdf(x, GaussianParams(p_mean, t2 * target.variance[-1]))
+                - gaussian_logpdf(x, traj_q.last_params)
+            )
+            assert lr == expected
+
+            x_prev, x_out = rng.normal(size=dim), rng.normal(size=dim)
+            mean = target.step_mean(steps - 1, x_prev, cond_p)
+            assert last_step_logpdf(target, cond_p, x_prev, x_out, tau) == gaussian_logpdf(
+                x_out, GaussianParams(mean, t2 * target.variance[-1])
+            )
 
 
 class TestVerifyDrafts:
