@@ -19,7 +19,8 @@ from .gaussian import (
     VARIANCE_FLOOR,
     GaussianParams,
     as_vector,
-    diag_logpdf,
+    diag_logpdf_from_terms,
+    diag_variance_terms,
 )
 
 NONLINEARITIES = ("identity", "tanh")
@@ -40,7 +41,8 @@ class ChainDivergenceError(RuntimeError):
 
 
 def _as_step_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    """A checked ``(T, d)`` float64 copy of ``values``, which the caller keeps."""
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -48,6 +50,47 @@ def _as_step_matrix(values, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+@dataclass(frozen=True)
+class ChainPlan:
+    """The temperature-dependent constants of one denoiser's chains.
+
+    Built once per (denoiser, temperature) by :meth:`DenoiserSpec.plan` and
+    shared by every chain run there; every array is read-only.
+    ``variances`` holds ``temperature**2 * variance``; ``rows`` holds each
+    step's ``state_coef``, ``cond_coef`` and ``offset`` rows and the square
+    root of its ``variances`` row, looked up once.  ``log_var_tail`` is
+    ``0.5 * sum(log variances)`` over all steps but the last.
+    ``last_log_norm`` and ``last_two_var`` are ``-0.5*log(2*pi*v)`` and
+    ``2*v`` for the final step's variance ``v`` clamped to ``VARIANCE_FLOOR``.
+    """
+
+    variances: np.ndarray
+    rows: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    log_var_tail: float
+    last_log_norm: np.ndarray
+    last_two_var: np.ndarray
+
+    @classmethod
+    def build(cls, spec: "DenoiserSpec", temperature: float) -> "ChainPlan":
+        variances = (float(temperature) ** 2) * spec.variance
+        scales = np.sqrt(variances)
+        last_log_norm, last_two_var = diag_variance_terms(variances[-1])
+        # Freeze before taking the row views, which inherit the flag.
+        for arr in (variances, scales, last_log_norm, last_two_var):
+            arr.flags.writeable = False
+        return cls(
+            variances=variances,
+            rows=tuple(zip(spec.state_coef, spec.cond_coef, spec.offset, scales)),
+            log_var_tail=float(0.5 * np.log(variances[:-1]).sum()),
+            last_log_norm=last_log_norm,
+            last_two_var=last_two_var,
+        )
+
+    def last_logpdf(self, x: np.ndarray, mean: np.ndarray) -> float:
+        """Final-step log-density of ``x`` around ``mean``, as ``gaussian_logpdf`` gives it."""
+        return diag_logpdf_from_terms(x, mean, self.last_log_norm, self.last_two_var)
 
 
 @dataclass(frozen=True)
@@ -59,6 +102,10 @@ class DenoiserSpec:
     (t = 1), the one that emits the token.  The step mean is
     ``state_coef * x_t + cond_coef * cond + offset``, optionally squashed by
     tanh; the step variance is the fixed ``variance`` row.
+
+    The arrays are copies of the caller's, frozen.  The per-temperature
+    :class:`ChainPlan` cache is a plain attribute, not a field, so it takes
+    no part in ``dataclasses.asdict``, equality or pickling.
     """
 
     state_coef: np.ndarray
@@ -85,6 +132,19 @@ class DenoiserSpec:
         object.__setattr__(self, "cond_coef", c)
         object.__setattr__(self, "offset", b)
         object.__setattr__(self, "variance", v)
+        object.__setattr__(self, "_plans", {})
+
+    def __getstate__(self):
+        return {**self.__dict__, "_plans": {}}
+
+    def plan(self, temperature: float) -> ChainPlan:
+        """The :class:`ChainPlan` at ``temperature``, built on first use."""
+        if not temperature > 0.0:
+            raise ValueError("temperature must be positive")
+        plan = self._plans.get(temperature)
+        if plan is None:
+            plan = self._plans[temperature] = ChainPlan.build(self, temperature)
+        return plan
 
     @property
     def steps(self) -> int:
@@ -148,19 +208,28 @@ def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRe
 class DenoisingTrajectory:
     """Full record of one chain run.
 
-    Parameters of every step (with temperature already folded into the
-    variances), the noise that drove it, and every intermediate state.
-    ``log_var_tail`` caches ``0.5 * sum(log var)`` over all steps except the
-    last, the quantity whose difference between two aligned chains is the
-    telescoped density-ratio contribution of those steps.
+    The mean of every step, the noise that drove it, every intermediate
+    state, and the :class:`ChainPlan` it ran on.  ``variances`` (temperature
+    already folded in) and ``log_var_tail`` are the plan's, shared read-only
+    by every chain of that denoiser at that temperature; ``log_var_tail`` is
+    ``0.5 * sum(log var)`` over all steps except the last, the quantity whose
+    difference between two aligned chains is the telescoped density-ratio
+    contribution of those steps.
     """
 
     x_init: np.ndarray
     means: np.ndarray
-    variances: np.ndarray
     eps: np.ndarray
     outputs: np.ndarray
-    log_var_tail: float
+    plan: ChainPlan
+
+    @property
+    def variances(self) -> np.ndarray:
+        return self.plan.variances
+
+    @property
+    def log_var_tail(self) -> float:
+        return self.plan.log_var_tail
 
     @property
     def steps(self) -> int:
@@ -195,8 +264,9 @@ def run_chain(
 ) -> DenoisingTrajectory:
     """Run the denoising chain on a fixed noise record.
 
-    The inputs are checked once on entry; the chain itself is arithmetic only,
-    and its states are checked for divergence once, after the last step.
+    The inputs are checked once on entry; the step rows and scales come from
+    the denoiser's cached :class:`ChainPlan`, the chain itself is arithmetic
+    only, and its states are checked for divergence once, after the last step.
 
     Parameters
     ----------
@@ -208,13 +278,15 @@ def run_chain(
         Pre-drawn noise; must have exactly ``spec.steps`` rows.
     temperature : float
         Multiplies every step variance by ``temperature**2``, in sampling and
-        in the recorded densities alike.
+        in the recorded densities alike.  Must be positive.
     position : int, optional
         Sequence position used only to label divergence errors.
 
     Returns
     -------
     DenoisingTrajectory
+        Fresh read-only ``means`` and ``outputs``; its ``variances`` is the
+        plan's shared read-only array.
     """
     cond = as_vector(cond, dim=spec.dim, name="cond")
     eps = noise.eps
@@ -223,36 +295,29 @@ def run_chain(
             f"noise record shape {eps.shape} does not match "
             f"denoiser shape {spec.state_coef.shape}"
         )
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
+    plan = spec.plan(temperature)
 
-    t2 = float(temperature) ** 2
-    steps = eps.shape[0]
     means = np.empty(eps.shape)
     outputs = np.empty(eps.shape)
-    variances = t2 * spec.variance
-    scales = np.sqrt(variances)
+    tanh = spec.nonlinearity == "tanh"
     x = noise.x_init
-    for row in range(steps):
-        mean = spec.step_mean(row, x, cond)
-        x = scales[row] * eps[row] + mean
+    for row, (a, c, b, scale) in enumerate(plan.rows):
+        # spec.step_mean(row, x, cond) on the plan's rows, the same bits
+        mean = a * x + c * cond + b
+        if tanh:
+            mean = np.tanh(mean)
+        x = scale * eps[row] + mean
         means[row] = mean
         outputs[row] = x
-    finite = np.isfinite(outputs).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(outputs).all():
         # Name the first non-finite row: a later one can come back finite
         # through tanh.
-        raise ChainDivergenceError(step=steps - int(finite.argmin()), position=position)
-    log_var_tail = float(0.5 * np.log(variances[:-1]).sum())
-    for arr in (means, outputs, variances):
-        arr.flags.writeable = False
+        first = int(np.isfinite(outputs).all(axis=1).argmin())
+        raise ChainDivergenceError(step=eps.shape[0] - first, position=position)
+    means.flags.writeable = False
+    outputs.flags.writeable = False
     return DenoisingTrajectory(
-        x_init=noise.x_init,
-        means=means,
-        variances=variances,
-        eps=eps,
-        outputs=outputs,
-        log_var_tail=log_var_tail,
+        x_init=noise.x_init, means=means, eps=eps, outputs=outputs, plan=plan
     )
 
 
@@ -266,7 +331,8 @@ def last_step_logpdf(
     """Log-density of ``x_out`` under the final step's conditional given ``x_prev``.
 
     This is evaluation by substitution: no sampling happens, the final-step
-    Gaussian is simply read off at an externally supplied token.
+    Gaussian is simply read off at an externally supplied token, with the
+    denoiser's :class:`ChainPlan` at ``temperature``.
     """
     cond = as_vector(cond, dim=spec.dim, name="cond")
     x_prev = as_vector(x_prev, dim=spec.dim, name="x_prev")
@@ -275,7 +341,7 @@ def last_step_logpdf(
     mean = spec.step_mean(last, x_prev, cond)
     if not np.isfinite(mean).all():
         raise ValueError("mean contains non-finite components")
-    return diag_logpdf(x_out, mean, (float(temperature) ** 2) * spec.variance[last])
+    return spec.plan(temperature).last_logpdf(x_out, mean)
 
 
 def tail_log_density_ratio(traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory) -> float:
@@ -300,12 +366,12 @@ def analytic_marginal(spec: DenoiserSpec, cond, temperature: float = 1.0) -> Gau
     if spec.nonlinearity != "identity":
         raise ValueError("analytic marginal is only defined for affine (identity) chains")
     cond = as_vector(cond, dim=spec.dim, name="cond")
-    t2 = float(temperature) ** 2
+    variances = spec.plan(temperature).variances
     mean = np.zeros(spec.dim)
     var = np.ones(spec.dim)
     for row in range(spec.steps):
         mean = spec.step_mean(row, mean, cond)
-        var = spec.state_coef[row] ** 2 * var + t2 * spec.variance[row]
+        var = spec.state_coef[row] ** 2 * var + variances[row]
     return GaussianParams(mean, var)
 
 

@@ -11,7 +11,7 @@ final-step log-densities.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .diffusion import (
     run_chain,
     tail_log_density_ratio,
 )
-from .gaussian import as_vector, diag_logpdf
+from .gaussian import as_vector
 from .rng import PositionStreams
 
 
@@ -155,14 +155,15 @@ def acceptance_log_ratio(
     under alignment), then combines the telescoped tail term with the two
     final-step log-densities at the drafted token: the target's by
     substitution into its final step given its own ``x_1``, the draft's under
-    its own final step.  Both are read off the trajectories' last rows.
+    its own final step.  Both are read off the trajectories' last means with
+    the final-step terms of their chain plans.
     Also returns the target trajectory.
     """
     traj_p = run_chain(target, cond_p, noise, temperature)
     log_tail = tail_log_density_ratio(traj_q, traj_p)
     x_out = as_vector(x_out, dim=target.dim, name="x")
-    log_p = diag_logpdf(x_out, traj_p.means[-1], traj_p.variances[-1])
-    log_q = diag_logpdf(x_out, traj_q.means[-1], traj_q.variances[-1])
+    log_p = traj_p.plan.last_logpdf(x_out, traj_p.means[-1])
+    log_q = traj_q.plan.last_logpdf(x_out, traj_q.means[-1])
     return log_tail + log_p - log_q, traj_p
 
 
@@ -221,8 +222,8 @@ def rejection_resample(
         candidate = traj_p.token
         traj_q = run_chain(draft, cond_q, record, temperature, position=position)
         log_tail = tail_log_density_ratio(traj_q, traj_p)
-        log_p = diag_logpdf(candidate, traj_p.means[-1], traj_p.variances[-1])
-        log_q = diag_logpdf(candidate, traj_q.means[-1], traj_q.variances[-1])
+        log_p = traj_p.plan.last_logpdf(candidate, traj_p.means[-1])
+        log_q = traj_q.plan.last_logpdf(candidate, traj_q.means[-1])
         alpha = resample_threshold(log_q, log_tail, log_p)
         threshold_sum += alpha
         if rng.random() <= alpha:
@@ -342,7 +343,9 @@ def generate(
     """Full speculative generation: pre-fill, then speculative steps to length."""
     config.check_models(target, draft)
     streams = PositionStreams(config.seed)
-    stats = RunStats(seed=config.seed, config=asdict(config))
+    # A shallow field dict: every field is a scalar, so asdict's deep copy is waste.
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    stats = RunStats(seed=config.seed, config=echo)
 
     state = prefill(target, config.length, config.rho, streams, config.temperature)
     stats.target_chain_calls += len(state)
@@ -359,6 +362,6 @@ def generate(
             aligned=config.aligned,
         )
     stats.origins = list(state.origins)
-    stats.tokens = [[float(v) for v in tok] for tok in state.tokens]
+    stats.tokens = state.tokens_array().tolist()
     return state, stats
 

@@ -65,21 +65,32 @@ class GaussianParams:
 def gaussian_logpdf(x, params: GaussianParams) -> float:
     """Exact log-density of ``x`` under a diagonal Gaussian, in nats."""
     x = as_vector(x, dim=params.dim, name="x")
-    return diag_logpdf(x, params.mean, params.variance)
+    return diag_logpdf_from_terms(x, params.mean, *diag_variance_terms(params.variance))
 
 
-def diag_logpdf(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
-    """The formula of :func:`gaussian_logpdf` on arrays that are already checked.
+def diag_variance_terms(variance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The variance-only parts of a diagonal log-density: ``-0.5*log(2*pi*v)`` and ``2*v``.
 
-    Computed as ``sum_i [-0.5*log(2*pi*var_i) - (x_i - mean_i)^2 / (2*var_i)]``
-    entirely in log space, with ``variance`` first clamped to
-    ``VARIANCE_FLOOR`` as :class:`GaussianParams` does, so reading a density
-    straight off a trajectory's arrays gives the same bits as building the
-    parameters first.
+    ``v`` is ``variance`` clamped to ``VARIANCE_FLOOR`` as
+    :class:`GaussianParams` does.  A caller that evaluates many points under
+    one variance computes these once; reading a density off a trajectory's
+    arrays this way gives the same bits as building the parameters first.
     """
     variance = np.maximum(variance, VARIANCE_FLOOR)
+    return -0.5 * (LOG_2PI + np.log(variance)), 2.0 * variance
+
+
+def diag_logpdf_from_terms(
+    x: np.ndarray, mean: np.ndarray, log_norm: np.ndarray, two_var: np.ndarray
+) -> float:
+    """``sum_i [log_norm_i - (x_i - mean_i)^2 / two_var_i]`` on checked arrays.
+
+    With the terms of :func:`diag_variance_terms` this is
+    ``sum_i [-0.5*log(2*pi*var_i) - (x_i - mean_i)^2 / (2*var_i)]``, computed
+    entirely in log space.
+    """
     dev = x - mean
-    return float((-0.5 * (LOG_2PI + np.log(variance)) - dev * dev / (2.0 * variance)).sum())
+    return float((log_norm - dev * dev / two_var).sum())
 
 
 def reparameterize(params: GaussianParams, eps) -> np.ndarray:

@@ -1,10 +1,13 @@
 import math
+import pickle
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from cspdec.diffusion import (
     ChainDivergenceError,
+    ChainPlan,
     DenoiserSpec,
     NoiseRecord,
     analytic_marginal,
@@ -149,6 +152,88 @@ class TestRunChain:
         traj = run_chain(spec, [0.0, 0.0], draw_noise_record(6, 2, rng), temperature=1.1)
         recomputed = 0.5 * float(np.sum(np.log(traj.variances[:-1])))
         assert recomputed == traj.log_var_tail
+
+
+class TestChainPlan:
+    @staticmethod
+    def per_call_chain(spec, cond, noise, tau):
+        """Reference chain: every constant worked out per call, means by ``step_mean``."""
+        variances = float(tau) ** 2 * spec.variance
+        scales = np.sqrt(variances)
+        means, outputs = np.empty(noise.eps.shape), np.empty(noise.eps.shape)
+        x = noise.x_init
+        for row in range(spec.steps):
+            means[row] = spec.step_mean(row, x, cond)
+            x = outputs[row] = scales[row] * noise.eps[row] + means[row]
+        return means, outputs, variances, float(0.5 * np.log(variances[:-1]).sum())
+
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-7])
+    @pytest.mark.parametrize("nonlinearity", ["identity", "tanh"])
+    def test_chain_bits_equal_the_per_call_formulas(self, tau, nonlinearity):
+        # At tau = 1e-7 every tau^2 * var lies below the variance floor, which
+        # the chain's own variances do not apply.
+        rng = np.random.default_rng(round(tau * 1e7))
+        for steps in range(2, 9):
+            for dim in range(1, 4):
+                spec = replace(random_denoiser(rng, steps, dim), nonlinearity=nonlinearity)
+                cond = rng.uniform(-1, 1, dim)
+                noise = draw_noise_record(steps, dim, rng)
+                traj = run_chain(spec, cond, noise, tau)
+                means, outputs, variances, log_var_tail = self.per_call_chain(
+                    spec, cond, noise, tau
+                )
+                assert np.array_equal(traj.means, means)
+                assert np.array_equal(traj.outputs, outputs)
+                assert np.array_equal(traj.variances, variances)
+                assert traj.log_var_tail == log_var_tail
+
+    def test_repeat_calls_share_one_plan_per_temperature(self):
+        rng = np.random.default_rng(4)
+        spec = random_denoiser(rng, 4, 2)
+        noise = draw_noise_record(4, 2, rng)
+        a, b = (run_chain(spec, [0.1, 0.2], noise, 1.3) for _ in range(2))
+        cold = run_chain(spec, [0.1, 0.2], noise, 0.7)
+        assert a.plan is b.plan is spec.plan(1.3)
+        assert a.variances is b.variances
+        assert cold.plan is spec.plan(0.7) and cold.plan is not a.plan
+        assert not np.array_equal(cold.variances, a.variances)
+        plan = a.plan
+        arrays = [plan.variances, plan.last_log_norm, plan.last_two_var]
+        for arr in arrays + [arr for row in plan.rows for arr in row]:
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("tau", [math.nan, 0.0, -0.0, -1.3])
+    def test_bad_temperature_rejected_before_any_lookup(self, tau, monkeypatch):
+        rng = np.random.default_rng(6)
+        spec = random_denoiser(rng, 3, 1)
+        noise = draw_noise_record(3, 1, rng)
+        built = []
+        monkeypatch.setattr(ChainPlan, "build", lambda *args: built.append(args))
+        for call in (
+            lambda: spec.plan(tau),
+            lambda: run_chain(spec, [0.0], noise, tau),
+            lambda: last_step_logpdf(spec, [0.0], [0.0], [0.0], tau),
+        ):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                call()
+        assert built == []
+
+    def test_plans_stay_out_of_fields_and_pickles(self):
+        rng = np.random.default_rng(9)
+        spec = random_denoiser(rng, 5, 3)
+        cond = rng.uniform(-1, 1, 3)
+        noise = draw_noise_record(5, 3, rng)
+        before = run_chain(spec, cond, noise, 1.3)
+        fields = ["state_coef", "cond_coef", "offset", "variance", "nonlinearity"]
+        assert list(asdict(spec)) == fields
+        # The pool ships specs pickled; a copy builds its own plan, with the same bits.
+        copy = pickle.loads(pickle.dumps(spec))
+        after = run_chain(copy, cond, noise, 1.3)
+        assert after.plan is not before.plan
+        for name in ("means", "outputs", "variances"):
+            assert np.array_equal(getattr(after, name), getattr(before, name))
+        assert after.log_var_tail == before.log_var_tail
+        assert not after.variances.flags.writeable
 
 
 class TestLastStepLogpdf:
@@ -320,6 +405,23 @@ class TestSpecValidation:
     def test_variance_floor_applied(self):
         spec = decoupled_spec(offsets=[0, 0], variances=[0.0, 1.0])
         assert spec.variance[0, 0] == VARIANCE_FLOOR
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        a, c, b, v = (np.full((2, 1), x) for x in (0.5, 0.2, -0.1, 0.8))
+        spec = DenoiserSpec(state_coef=a, cond_coef=c, offset=b, variance=v)
+        e = np.array([[0.3], [-0.7]])
+        record = NoiseRecord(x_init=[0.4], eps=e)
+        before = run_chain(spec, [0.1], record)
+        plan = spec.plan(1.0)
+        for arr in (a, c, b, v, e):
+            assert arr.flags.writeable
+            arr[...] = 9.0
+        assert np.array_equal(spec.state_coef, [[0.5], [0.5]])
+        assert np.array_equal(spec.variance, [[0.8], [0.8]])
+        assert np.array_equal(record.eps, [[0.3], [-0.7]])
+        assert spec.plan(1.0) is plan and np.array_equal(plan.variances, [[0.8], [0.8]])
+        again = run_chain(spec, [0.1], record)
+        assert np.array_equal(again.outputs, before.outputs)
 
     def test_noise_record_shape_mismatch_rejected(self):
         spec = passthrough_spec(steps=3, dim=1)

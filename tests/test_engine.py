@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cspdec.autoregressive as autoregressive
 import cspdec.engine as engine
 from cspdec.autoregressive import DRAFT_ACCEPTED, RESAMPLED, TARGET_FALLTHROUGH
 from cspdec.diffusion import (
@@ -273,6 +275,33 @@ class TestGenerate:
             1 for o in stats.origins if o == TARGET_FALLTHROUGH
         ) == config.length
         assert stats.wall_steps == len(stats.step_proposed)
+
+    @pytest.mark.parametrize("variant", [{"aligned": False}, {"rho": 0.3}])
+    @pytest.mark.parametrize("pair", ["std_pair", "prefix_pair"])
+    def test_chain_calls_counted_one_per_run_chain(self, pair, variant, request, monkeypatch):
+        # Every chain is one run_chain call, as the benchmark's trace assumes.
+        target, draft, config = request.getfixturevalue(pair)
+        calls = Counter()
+
+        def counting(run_chain):
+            def counted(spec, *args, **kwargs):
+                calls[id(spec)] += 1
+                return run_chain(spec, *args, **kwargs)
+
+            return counted
+
+        for module in (engine, autoregressive):
+            monkeypatch.setattr(module, "run_chain", counting(module.run_chain))
+        resampled = 0
+        for r in range(30):
+            calls.clear()
+            cfg = replace(config, seed=replicate_seed(515, 0, r), **variant)
+            _, stats = generate(target, draft, cfg)
+            assert calls[id(draft.denoiser)] == stats.draft_chain_calls
+            assert calls[id(target.denoiser)] == stats.target_chain_calls
+            assert sum(calls.values()) == stats.draft_chain_calls + stats.target_chain_calls
+            resampled += sum(stats.resample_trials)
+        assert resampled > 0
 
     def test_alignment_raises_acceptance(self, std_pair):
         target, draft, config = std_pair
