@@ -250,6 +250,13 @@ class TestByteStability:
     """
 
     COMMON = ["--seed", "7", "--replicates", "20"]
+    # "sweep" is the gamma sweep; it keeps that key from before the other axes.
+    ARGS = {
+        "generate": ["generate"],
+        "sweep": ["sweep", "gamma", "1", "2", "3"],
+        "sweep-prefill": ["sweep", "prefill", "0", "0.05", "0.15"],
+        "sweep-temperature": ["sweep", "temperature", "0.7", "1.0", "1.3"],
+    }
     DIGESTS = {
         ("generate", "standard_pair", "json"):
             "fd2c003f464ae2fe22b61f97da812ac801e71715b2f2da99fb4eaa4da8792efe",
@@ -261,15 +268,24 @@ class TestByteStability:
             "c2f1f79b067183d51fd3a693bf187d1291dd9baaf7f8915139e6070d00e9f4b3",
         ("sweep", "standard_pair", "json"):
             "99a319b52614e2e09bc4cfc1c4870f32104b475fc7e55617323cf948828b17e8",
+        ("sweep", "standard_pair", "csv"):
+            "4d6322ca0adbca6c5c3f3b2b4b436cd4a1396df2a2ef6756fe343cd42ed21819",
+        ("sweep-prefill", "standard_pair", "json"):
+            "43bb1760be5090fea4d32116426221960f9a85876181b348c8ce0ca83f1b3688",
+        ("sweep-prefill", "standard_pair", "csv"):
+            "a06686a4bc80b9c7ab4d4f7c00c15ad3eadcc74b9e9fe9191523fbc3e6724b86",
+        ("sweep-temperature", "standard_pair", "json"):
+            "24561225bd2fe6b78932459f5b51383d9083341791a523871e6403693bfed123",
+        ("sweep-temperature", "standard_pair", "csv"):
+            "d153524d4523b17cb7d5415c48855501d7196aa39f356413bfa0b1b84ef02db9",
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("command, scenario, fmt", sorted(DIGESTS))
     def test_output_digest(self, command, scenario, fmt, jobs, tmp_path):
-        args = [command] + (["gamma", "1", "2", "3"] if command == "sweep" else [])
         out = tmp_path / f"out.{fmt}"
         assert main(
-            args + ["--config", str(scenario_path(scenario)), "--format", fmt, "--jobs", jobs]
+            self.ARGS[command] + ["--config", str(scenario_path(scenario)), "--format", fmt, "--jobs", jobs]
             + self.COMMON + ["--out", str(out)]
         ) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
