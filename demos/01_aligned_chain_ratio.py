@@ -9,7 +9,8 @@ machine precision.
 
 import numpy as np
 
-from cspdec import acceptance_log_ratio, draw_noise_record, run_chain
+from cspdec.diffusion import draw_noise_record, run_chain, tail_log_density_ratio
+from cspdec.engine import acceptance_log_ratio
 from cspdec.oracle import full_chain_log_ratio
 from cspdec.scenarios import standard_pair
 
@@ -38,7 +39,5 @@ print(f"acceptance probability min(1, ratio) = {min(1.0, np.exp(log_ratio)):.4f}
 
 # The tail term is exactly zero here because the pinned pair shares its
 # variance schedule on every step but the last.
-from cspdec import tail_log_density_ratio
-
 print(f"\ntail variance term: {tail_log_density_ratio(traj_q, traj_p):+.4f}")
 print("(zero: draft and target share the tail variance schedule)")

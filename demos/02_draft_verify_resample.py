@@ -5,7 +5,8 @@ along the shared noise; the first rejection is patched by a residual-
 distribution sample, and full acceptance earns a bonus token from the target.
 """
 
-from cspdec import RunStats, SequenceState, speculative_step
+from cspdec.autoregressive import SequenceState
+from cspdec.engine import RunStats, speculative_step
 from cspdec.rng import PositionStreams
 from cspdec.scenarios import standard_pair
 

@@ -10,7 +10,7 @@ residual mass.
 
 import numpy as np
 
-from cspdec import rejection_resample
+from cspdec.engine import rejection_resample
 from cspdec.oracle import (
     Grid1D,
     chi_square_critical,

@@ -9,12 +9,7 @@ factor.
 
 from dataclasses import replace
 
-from cspdec.bench import (
-    expected_speedup,
-    simulated_speedup,
-    sweep_gamma,
-    sweep_prefill,
-)
+from cspdec.bench import expected_speedup, simulated_speedup, sweep
 from cspdec.oracle import empirical_acceptance
 from cspdec.parallel import run_replicates
 from cspdec.rng import replicate_seed
@@ -24,11 +19,11 @@ REPLICATES = 300
 
 target, draft, config = standard_pair()
 print("acceptance vs draft length (standard pair, length 40):")
-sweep = sweep_gamma(
-    target, draft, replace(config, length=40), gammas=[4, 8, 16, 32],
+result = sweep(
+    target, draft, replace(config, length=40), "gamma", [4, 8, 16, 32],
     replicates=REPLICATES, master_seed=1, jobs=2,
 )
-for pt in sweep.points:
+for pt in result.points:
     print(
         f"  gamma={int(pt.axis_value):>2}: alpha={pt.mean_alpha:.3f}"
         f"+-{pt.stderr_alpha:.3f}  tokens/step={pt.tokens_per_step:.2f}"
@@ -37,11 +32,11 @@ for pt in sweep.points:
 
 print("\npre-filling on the prefix-divergent pair:")
 p_target, p_draft, p_config = prefix_divergent_pair()
-sweep = sweep_prefill(
-    p_target, p_draft, p_config, rhos=[0.0, 0.05, 0.15],
+result = sweep(
+    p_target, p_draft, p_config, "prefill", [0.0, 0.05, 0.15],
     replicates=REPLICATES, master_seed=2, jobs=2,
 )
-for pt in sweep.points:
+for pt in result.points:
     early = [pt.per_position_alpha.get(i) for i in range(3)]
     early_txt = ", ".join("-" if e is None else f"{e:.2f}" for e in early)
     print(f"  rho={pt.axis_value:.2f}: alpha={pt.mean_alpha:.3f}  "

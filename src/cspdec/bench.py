@@ -10,7 +10,7 @@ draft chain step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .oracle import empirical_acceptance
 from .parallel import run_replicates
 from .rng import replicate_seed
 
-_AXIS_TAGS = {"gamma": 31, "prefill": 37, "temperature": 41}
+# Each sweep axis: the SpecDecodeConfig field it sets and its seed tag.
+SWEEP_AXES = {"gamma": ("gamma", 31), "prefill": ("rho", 37), "temperature": ("temperature", 41)}
 
 
 def expected_speedup(alpha: float, gamma: int, cost_ratio: float) -> float:
@@ -58,20 +59,6 @@ class SweepResult:
     replicates: int
     seed: int
     points: tuple[SweepPoint, ...]
-
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for pt in self.points:
-            rows.append(
-                {
-                    "axis_value": pt.axis_value,
-                    "mean_alpha": pt.mean_alpha,
-                    "stderr_alpha": pt.stderr_alpha,
-                    "mean_trials": pt.mean_trials,
-                    "tokens_per_step": pt.tokens_per_step,
-                }
-            )
-        return rows
 
 
 def tokens_per_step(stats: RunStats) -> float | None:
@@ -132,94 +119,35 @@ def _aggregate(axis_value: float, stats_list: Sequence[RunStats]) -> SweepPoint:
     )
 
 
-def _sweep(
+def sweep(
     target: Model,
     draft: Model,
-    configs: Sequence[tuple[float, SpecDecodeConfig]],
+    config: SpecDecodeConfig,
     axis: str,
+    values: Iterable[float],
     replicates: int,
     master_seed: int,
-    jobs: int | None,
+    jobs: int | None = None,
 ) -> SweepResult:
+    """Run ``replicates`` generations at each value of one :data:`SWEEP_AXES` axis.
+
+    Each value is cast to its config field's type and every point's config
+    is built before the first run, so :class:`SpecDecodeConfig` rejects a bad
+    value before any work is done.  Point ``index`` uses the seeds
+    ``replicate_seed(master_seed, tag * 1000 + index, r)``.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    tag = _AXIS_TAGS[axis]
+    name, tag = SWEEP_AXES[axis]
+    cast = get_type_hints(SpecDecodeConfig)[name]
+    configs = [replace(config, **{name: cast(v)}) for v in values]
     points = []
-    for index, (value, config) in enumerate(configs):
+    for index, point_config in enumerate(configs):
         seeds = [
             replicate_seed(master_seed, tag * 1000 + index, r) for r in range(replicates)
         ]
-        stats_list = run_replicates(target, draft, config, seeds, jobs=jobs)
-        points.append(_aggregate(value, stats_list))
+        stats_list = run_replicates(target, draft, point_config, seeds, jobs=jobs)
+        points.append(_aggregate(float(getattr(point_config, name)), stats_list))
     return SweepResult(axis=axis, replicates=replicates, seed=master_seed, points=tuple(points))
-
-
-def sweep_gamma(
-    target: Model,
-    draft: Model,
-    config: SpecDecodeConfig,
-    gammas: Iterable[int],
-    replicates: int,
-    master_seed: int,
-    jobs: int | None = None,
-) -> SweepResult:
-    configs = [(float(g), replace(config, gamma=int(g))) for g in gammas]
-    return _sweep(target, draft, configs, "gamma", replicates, master_seed, jobs)
-
-
-def sweep_prefill(
-    target: Model,
-    draft: Model,
-    config: SpecDecodeConfig,
-    rhos: Iterable[float] = (0.0, 0.05, 0.15),
-    replicates: int = 1,
-    master_seed: int = 0,
-    jobs: int | None = None,
-) -> SweepResult:
-    configs = [(float(r), replace(config, rho=float(r))) for r in rhos]
-    return _sweep(target, draft, configs, "prefill", replicates, master_seed, jobs)
-
-
-def sweep_temperature(
-    target: Model,
-    draft: Model,
-    config: SpecDecodeConfig,
-    taus: Iterable[float],
-    replicates: int,
-    master_seed: int,
-    jobs: int | None = None,
-) -> SweepResult:
-    for t in taus:
-        if not t > 0:
-            raise ValueError("temperatures must be positive")
-    configs = [(float(t), replace(config, temperature=float(t))) for t in taus]
-    return _sweep(target, draft, configs, "temperature", replicates, master_seed, jobs)
-
-
-@dataclass(frozen=True)
-class TrialsHistogram:
-    """Distribution of rejection-sampler trial counts over many runs."""
-
-    counts: dict[int, int]
-    total: int
-    mean: float | None
-    p99: float | None
-
-    @property
-    def empty(self) -> bool:
-        return self.total == 0
-
-
-def trials_histogram(stats_list: RunStats | Iterable[RunStats]) -> TrialsHistogram:
-    if isinstance(stats_list, RunStats):
-        stats_list = [stats_list]
-    trials = [t for st in stats_list for t in st.resample_trials]
-    if not trials:
-        return TrialsHistogram(counts={}, total=0, mean=None, p99=None)
-    values, counts = np.unique(np.asarray(trials), return_counts=True)
-    return TrialsHistogram(
-        counts={int(v): int(c) for v, c in zip(values, counts)},
-        total=len(trials),
-        mean=float(np.mean(trials)),
-        p99=float(np.percentile(trials, 99)),
-    )

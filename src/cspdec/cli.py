@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import expected_speedup, sweep_gamma, sweep_prefill, sweep_temperature
+from .bench import SWEEP_AXES, expected_speedup, sweep
 from .configio import (
     ConfigError,
     dump_json,
@@ -39,8 +39,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _GENERATE_TAG = 17
-
-SWEEP_KINDS = ("gamma", "prefill", "temperature")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--significance", type=float, default=0.01)
 
     p_swp = sub.add_parser("sweep", help="sweep an axis and emit aggregates")
-    p_swp.add_argument("kind", choices=SWEEP_KINDS)
+    p_swp.add_argument("kind", choices=tuple(SWEEP_AXES))
     p_swp.add_argument("axis", nargs="+", help="axis values")
     _add_common(p_swp)
     p_swp.add_argument("--out", required=True, help="output path")
@@ -157,8 +155,6 @@ def _cmd_check_dist(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model_config, run_config = _resolve(args)
-    target, draft = model_config.target, model_config.draft
-    seed = run_config.seed
     try:
         if args.kind == "gamma":
             values = [int(v) for v in args.axis]
@@ -166,20 +162,10 @@ def _cmd_sweep(args) -> int:
             values = [float(v) for v in args.axis]
     except ValueError as exc:
         raise ConfigError(f"axis values for {args.kind}: {exc}") from exc
-    if args.kind == "gamma":
-        result = sweep_gamma(target, draft, run_config, values, args.replicates, seed, args.jobs)
-    elif args.kind == "prefill":
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError("prefill axis values must lie in [0, 1]")
-        result = sweep_prefill(target, draft, run_config, values, args.replicates, seed, args.jobs)
-    else:
-        for v in values:
-            if not v > 0.0:
-                raise ConfigError("temperature axis values must be positive")
-        result = sweep_temperature(
-            target, draft, run_config, values, args.replicates, seed, args.jobs
-        )
+    result = sweep(
+        model_config.target, model_config.draft, run_config, args.kind, values,
+        args.replicates, run_config.seed, args.jobs,
+    )
     if args.format == "csv":
         payload = sweep_to_csv(result)
     else:
@@ -189,12 +175,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    if not 0.0 <= args.alpha < 1.0:
-        raise ConfigError("alpha must lie in [0, 1)")
-    if args.gamma < 1:
-        raise ConfigError("gamma must be >= 1")
-    if args.c < 0.0:
-        raise ConfigError("c must be nonnegative")
     print(f"{expected_speedup(args.alpha, args.gamma, args.c):.6f}")
     return EXIT_OK
 

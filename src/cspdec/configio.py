@@ -133,9 +133,10 @@ def config_from_dict(doc: dict) -> ModelConfig:
             raise ConfigError(f"top level: missing key {key!r}")
     steps = doc["T"]
     dim = doc["d"]
-    if not isinstance(steps, int) or steps < 2:
+    # type(...) is int also turns away JSON true/false, which are ints to isinstance.
+    if type(steps) is not int or steps < 2:
         raise ConfigError(f"T: expected an integer >= 2, got {steps!r}")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ConfigError(f"d: expected an integer >= 1, got {dim!r}")
     run = doc.get("run", {})
     if not isinstance(run, dict) or not set(run) <= _RUN_KEYS:
@@ -234,8 +235,8 @@ def sweep_to_csv(result: SweepResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER)
-    for row in result.csv_rows():
-        writer.writerow([_csv_cell(row[k]) for k in SWEEP_CSV_HEADER])
+    for pt in result.points:
+        writer.writerow([_csv_cell(getattr(pt, k)) for k in SWEEP_CSV_HEADER])
     return buf.getvalue()
 
 
@@ -247,12 +248,7 @@ def sweep_to_dict(result: SweepResult) -> dict:
         "seed": result.seed,
         "points": [
             {
-                "axis_value": pt.axis_value,
-                "mean_alpha": pt.mean_alpha,
-                "stderr_alpha": pt.stderr_alpha,
-                "mean_alpha_examined": pt.mean_alpha_examined,
-                "mean_trials": pt.mean_trials,
-                "tokens_per_step": pt.tokens_per_step,
+                **{k: getattr(pt, k) for k in SWEEP_CSV_HEADER + ["mean_alpha_examined"]},
                 "per_position_alpha": {str(k): v for k, v in pt.per_position_alpha.items()},
             }
             for pt in result.points

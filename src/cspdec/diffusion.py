@@ -244,16 +244,6 @@ class DenoisingTrajectory:
         """The chain output ``x_0``."""
         return self.outputs[-1]
 
-    @property
-    def last_input(self) -> np.ndarray:
-        """State entering the final step (``x_1``)."""
-        return self.outputs[-2]
-
-    @property
-    def last_params(self) -> GaussianParams:
-        """Mean and variance of the final step, the one that emits the token."""
-        return GaussianParams(self.means[-1], self.variances[-1])
-
 
 def run_chain(
     spec: DenoiserSpec,
@@ -319,29 +309,6 @@ def run_chain(
     return DenoisingTrajectory(
         x_init=noise.x_init, means=means, eps=eps, outputs=outputs, plan=plan
     )
-
-
-def last_step_logpdf(
-    spec: DenoiserSpec,
-    cond,
-    x_prev,
-    x_out,
-    temperature: float = 1.0,
-) -> float:
-    """Log-density of ``x_out`` under the final step's conditional given ``x_prev``.
-
-    This is evaluation by substitution: no sampling happens, the final-step
-    Gaussian is simply read off at an externally supplied token, with the
-    denoiser's :class:`ChainPlan` at ``temperature``.
-    """
-    cond = as_vector(cond, dim=spec.dim, name="cond")
-    x_prev = as_vector(x_prev, dim=spec.dim, name="x_prev")
-    x_out = as_vector(x_out, dim=spec.dim, name="x")
-    last = spec.steps - 1
-    mean = spec.step_mean(last, x_prev, cond)
-    if not np.isfinite(mean).all():
-        raise ValueError("mean contains non-finite components")
-    return spec.plan(temperature).last_logpdf(x_out, mean)
 
 
 def tail_log_density_ratio(traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory) -> float:

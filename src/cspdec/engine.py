@@ -57,6 +57,10 @@ class ResampleExhaustedError(RuntimeError):
         )
 
 
+_INTEGER_TYPES = (int, np.integer)
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 @dataclass(frozen=True)
 class SpecDecodeConfig:
     """Run parameters for speculative generation."""
@@ -72,6 +76,15 @@ class SpecDecodeConfig:
     aligned: bool = True
 
     def __post_init__(self):
+        # bool passes isinstance(value, int), so it is turned away first.
+        for name in ("gamma", "steps", "dim", "length", "max_resample_trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _INTEGER_TYPES):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("rho", "temperature"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
         if self.steps < 2:
@@ -132,10 +145,6 @@ class RunStats:
     tokens: list[list[float]] = field(default_factory=list)
     draft_chain_calls: int = 0
     target_chain_calls: int = 0
-
-    @property
-    def wall_steps(self) -> int:
-        return len(self.step_accepted)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -93,12 +93,6 @@ def diag_logpdf_from_terms(
     return float((log_norm - dev * dev / two_var).sum())
 
 
-def reparameterize(params: GaussianParams, eps) -> np.ndarray:
-    """Scale-and-shift a standard-normal draw: ``sqrt(var) * eps + mean``."""
-    eps = as_vector(eps, dim=params.dim, name="eps")
-    return np.sqrt(params.variance) * eps + params.mean
-
-
 def log_std_ratio(var_num, var_den) -> float:
     """Log of the ratio of the two standard-deviation products.
 

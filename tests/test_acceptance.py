@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 import cspdec.engine as engine
-from cspdec.bench import (
-    expected_speedup,
-    simulated_speedup,
-    sweep_gamma,
-    trials_histogram,
-)
+from cspdec.bench import expected_speedup, simulated_speedup, sweep
 from cspdec.cli import main
 from cspdec.configio import ModelConfig, save_model_config
 from cspdec.diffusion import draw_noise_record, run_chain
@@ -273,24 +268,25 @@ def test_criterion_6_alignment_ablation(pinned):
 def test_criterion_7_gamma_decay(pinned):
     """Mean acceptance non-increasing in draft length, within two stderr."""
     target, draft, config = pinned
-    sweep = sweep_gamma(
+    result = sweep(
         target,
         draft,
         replace(config, length=40),
-        gammas=[4, 8, 16, 32],
+        "gamma",
+        [4, 8, 16, 32],
         replicates=1000,
         master_seed=700,
         jobs=JOBS,
     )
-    means = [pt.mean_alpha for pt in sweep.points]
-    errs = [pt.stderr_alpha for pt in sweep.points]
+    means = [pt.mean_alpha for pt in result.points]
+    errs = [pt.stderr_alpha for pt in result.points]
     ok = all(
         means[i + 1] <= means[i] + 2 * math.hypot(errs[i], errs[i + 1])
         for i in range(len(means) - 1)
     )
     detail = ", ".join(
         f"gamma={int(pt.axis_value)}: {pt.mean_alpha:.3f}+-{pt.stderr_alpha:.3f}"
-        for pt in sweep.points
+        for pt in result.points
     )
     report(7, "acceptance decay in gamma", ok, detail)
     assert ok

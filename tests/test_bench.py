@@ -3,15 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cspdec.bench import (
-    expected_speedup,
-    simulated_speedup,
-    sweep_gamma,
-    sweep_prefill,
-    sweep_temperature,
-    tokens_per_step,
-    trials_histogram,
-)
+import cspdec.bench as bench
+from cspdec.autoregressive import RESAMPLED
+from cspdec.bench import expected_speedup, simulated_speedup, sweep, tokens_per_step
 from cspdec.configio import sweep_to_csv
 from cspdec.engine import SpecDecodeConfig
 from cspdec.parallel import run_replicates
@@ -59,22 +53,24 @@ def small_stationary():
 class TestSweeps:
     def test_gamma_sweep_row_accounting_and_determinism(self, small_stationary):
         target, draft, config = small_stationary
-        kwargs = dict(gammas=[1, 2, 4], replicates=3, master_seed=11, jobs=1)
-        one = sweep_gamma(target, draft, config, **kwargs)
-        two = sweep_gamma(target, draft, config, **kwargs)
+        kwargs = dict(replicates=3, master_seed=11, jobs=1)
+        one = sweep(target, draft, config, "gamma", [1, 2, 4], **kwargs)
+        two = sweep(target, draft, config, "gamma", [1, 2, 4], **kwargs)
         assert len(one.points) == 3
         assert sweep_to_csv(one) == sweep_to_csv(two)
         assert [pt.axis_value for pt in one.points] == [1.0, 2.0, 4.0]
 
     def test_identical_models_accept_at_every_gamma(self, small_stationary):
         target, _, config = small_stationary
-        result = sweep_gamma(target, target, config, [1, 3], replicates=2, master_seed=0, jobs=1)
+        result = sweep(
+            target, target, config, "gamma", [1, 3], replicates=2, master_seed=0, jobs=1
+        )
         assert all(pt.mean_alpha == 1.0 for pt in result.points)
 
     def test_full_prefill_reports_absent_alpha(self, small_stationary):
         target, draft, config = small_stationary
-        result = sweep_prefill(
-            target, draft, config, rhos=[1.0], replicates=2, master_seed=3, jobs=1
+        result = sweep(
+            target, draft, config, "prefill", [1.0], replicates=2, master_seed=3, jobs=1
         )
         assert result.points[0].mean_alpha is None
         row = sweep_to_csv(result).splitlines()[1]
@@ -82,53 +78,79 @@ class TestSweeps:
 
     def test_identical_models_accept_at_every_temperature(self, small_stationary):
         target, _, config = small_stationary
-        result = sweep_temperature(
-            target, target, config, [0.7, 1.0, 1.3], replicates=2, master_seed=5, jobs=1
+        result = sweep(
+            target, target, config, "temperature", [0.7, 1.0, 1.3],
+            replicates=2, master_seed=5, jobs=1,
         )
         assert all(pt.mean_alpha == 1.0 for pt in result.points)
 
     def test_temperature_rejected_when_nonpositive(self, small_stationary):
         target, draft, config = small_stationary
         with pytest.raises(ValueError):
-            sweep_temperature(target, draft, config, [0.0], 1, 0)
+            sweep(target, draft, config, "temperature", [0.0], 1, 0)
+
+    def test_unknown_axis_rejected(self, small_stationary):
+        target, draft, config = small_stationary
+        with pytest.raises(ValueError, match="unknown sweep axis 'trials'"):
+            sweep(target, draft, config, "trials", [1], 1, 0)
+
+    def test_every_point_is_checked_before_any_run(self, small_stationary, monkeypatch):
+        target, draft, config = small_stationary
+        runs = []
+        monkeypatch.setattr(bench, "run_replicates", lambda *args, **kw: runs.append(args))
+        with pytest.raises(ValueError, match="rho must lie in"):
+            sweep(target, draft, config, "prefill", [0.0, 1.5], 1, 0)
+        assert runs == []
+
+    def test_axis_values_take_the_field_type(self, small_stationary):
+        # An int rho in the base config must not make the sweep truncate 0.5.
+        target, draft, config = small_stationary
+        result = sweep(target, draft, replace(config, rho=0), "prefill", [0.5], 1, 0)
+        assert result.points[0].axis_value == 0.5
+        assert result.points[0].stats[0].config["rho"] == 0.5
 
     def test_temperature_moves_acceptance_on_mismatched_pair(self):
         # the direction is scenario-specific and deliberately not asserted
         from cspdec.scenarios import standard_pair
 
         target, draft, config = standard_pair()
-        result = sweep_temperature(
-            target, draft, config, [0.7, 1.0, 1.3], replicates=300, master_seed=5, jobs=2
+        result = sweep(
+            target, draft, config, "temperature", [0.7, 1.0, 1.3],
+            replicates=300, master_seed=5, jobs=2,
         )
         alphas = [pt.mean_alpha for pt in result.points]
         assert max(alphas) - min(alphas) > 0.02
 
 
 class TestTrialsHistogram:
+    """The rejection sampler's trial counts, as ``RunStats.resample_trials`` records them."""
+
     def test_near_disjoint_pair_accepts_first_trial(self):
         # residual mass ~ 1: nearly every trial accepts immediately
         target, draft = decoupled_pair(0.0, 1.0, 8.0, 1.0)
         config = SpecDecodeConfig(gamma=1, steps=2, dim=1, length=4, seed=0)
         seeds = [replicate_seed(1, 0, r) for r in range(200)]
         stats = run_replicates(target, draft, config, seeds, jobs=1)
-        hist = trials_histogram(stats)
-        assert hist.total > 50
-        assert hist.mean == pytest.approx(1.0, abs=0.05)
+        trials = [t for st in stats for t in st.resample_trials]
+        assert len(trials) > 50
+        assert np.mean(trials) == pytest.approx(1.0, abs=0.05)
 
     def test_mass_sums_to_event_count(self, small_stationary):
+        # one trial count per resampled token, each at least one trial
         target, draft, config = small_stationary
         seeds = [replicate_seed(2, 0, r) for r in range(50)]
         stats = run_replicates(target, draft, config, seeds, jobs=1)
-        hist = trials_histogram(stats)
-        assert sum(hist.counts.values()) == hist.total
-        assert hist.total == sum(len(st.resample_trials) for st in stats)
+        for st in stats:
+            resampled = [pos for pos, o in enumerate(st.origins) if o == RESAMPLED]
+            assert st.resample_positions == resampled
+            assert len(st.resample_trials) == len(resampled)
+            assert all(t >= 1 for t in st.resample_trials)
+        assert sum(len(st.resample_trials) for st in stats) > 0
 
     def test_no_rejections_flagged_empty(self, small_stationary):
         target, _, config = small_stationary
         stats = run_replicates(target, target, config, [1, 2], jobs=1)
-        hist = trials_histogram(stats)
-        assert hist.empty
-        assert hist.mean is None
+        assert all(st.resample_trials == [] for st in stats)
 
 
 class TestCostModel:

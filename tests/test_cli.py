@@ -85,6 +85,47 @@ class TestFormulaCommand:
     def test_out_of_range_alpha_exits_2(self, capsys):
         assert main(["formula", "1.0", "4", "0.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["0.5", "0", "0.5"], "gamma must be >= 1"), (["0.5", "1", "-1"], "cost_ratio")],
+    )
+    def test_out_of_range_gamma_or_cost_exits_2(self, args, message, capsys):
+        assert main(["formula"] + args) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    """A mistyped config value exits 2 with a message, never a traceback."""
+
+    def _generate(self, doc, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return main(["generate", "--config", str(path), "--out", str(tmp_path / "x.json")])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gamma", 2.5),
+            ("max_resample_trials", "10"),
+            ("length", True),
+            ("seed", 1.0),
+            ("rho", "0.1"),
+            ("temperature", True),
+        ],
+    )
+    def test_mistyped_run_value_exits_2(self, key, value, std_config_path, tmp_path, capsys):
+        doc = json.loads(Path(std_config_path).read_text())
+        doc["run"][key] = value
+        assert self._generate(doc, tmp_path) == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["T", "d"])
+    def test_bool_shape_exits_2(self, key, std_config_path, tmp_path, capsys):
+        doc = json.loads(Path(std_config_path).read_text())
+        doc[key] = True
+        assert self._generate(doc, tmp_path) == 2
+        assert f"{key}: expected an integer" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     def test_byte_identical_reruns(self, tiny_config_path, tmp_path, capsys):
@@ -229,6 +270,24 @@ class TestSweepCommand:
             ]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            ("temperature", "0", "temperature must be positive"),
+            ("gamma", "0", "gamma must be >= 1"),
+            ("gamma", "2.5", "axis values for gamma"),
+        ],
+    )
+    def test_axis_checked_by_the_run_config_exits_2(
+        self, kind, value, message, tiny_config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "x"
+        assert main(
+            ["sweep", kind, "1", value, "--config", tiny_config_path, "--out", str(out)]
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_format_carries_per_position_curve(self, tiny_config_path, tmp_path):
         out = tmp_path / "s.json"
         assert main(
@@ -285,7 +344,8 @@ class TestByteStability:
     def test_output_digest(self, command, scenario, fmt, jobs, tmp_path):
         out = tmp_path / f"out.{fmt}"
         assert main(
-            self.ARGS[command] + ["--config", str(scenario_path(scenario)), "--format", fmt, "--jobs", jobs]
+            self.ARGS[command]
+            + ["--config", str(scenario_path(scenario)), "--format", fmt, "--jobs", jobs]
             + self.COMMON + ["--out", str(out)]
         ) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()

@@ -12,7 +12,6 @@ from cspdec.diffusion import (
     NoiseRecord,
     analytic_marginal,
     draw_noise_record,
-    last_step_logpdf,
     run_chain,
     tail_log_density_ratio,
     trajectory_logpdf_terms,
@@ -212,7 +211,6 @@ class TestChainPlan:
         for call in (
             lambda: spec.plan(tau),
             lambda: run_chain(spec, [0.0], noise, tau),
-            lambda: last_step_logpdf(spec, [0.0], [0.0], [0.0], tau),
         ):
             with pytest.raises(ValueError, match="temperature must be positive"):
                 call()
@@ -236,10 +234,16 @@ class TestChainPlan:
         assert not after.variances.flags.writeable
 
 
+def final_step_logpdf(spec, cond, x_prev, x_out, temperature=1.0):
+    """Final-step log-density of ``x_out`` given ``x_prev``, through the chain plan."""
+    mean = spec.step_mean(spec.steps - 1, np.asarray(x_prev, float), np.asarray(cond, float))
+    return spec.plan(temperature).last_logpdf(np.asarray(x_out, float), mean)
+
+
 class TestLastStepLogpdf:
     def test_evaluation_at_the_mode(self):
         spec = decoupled_spec(offsets=[0.0, 0.0], variances=[1.0, 1.0])
-        assert last_step_logpdf(spec, [0.0], [3.0], [0.0]) == pytest.approx(
+        assert final_step_logpdf(spec, [0.0], [3.0], [0.0]) == pytest.approx(
             -0.9189385, abs=1e-6
         )
 
@@ -248,14 +252,16 @@ class TestLastStepLogpdf:
         spec = random_denoiser(rng, 3, 1)
         cond = rng.uniform(-1, 1, 1)
         traj = run_chain(spec, cond, draw_noise_record(3, 1, rng))
-        via_substitution = last_step_logpdf(spec, cond, traj.last_input, traj.token)
-        via_record = gaussian_logpdf(traj.token, traj.last_params)
+        via_substitution = final_step_logpdf(spec, cond, traj.outputs[-2], traj.token)
+        via_record = gaussian_logpdf(
+            traj.token, GaussianParams(traj.means[-1], traj.variances[-1])
+        )
         assert via_substitution == pytest.approx(via_record, abs=1e-12)
 
     def test_quarter_variance_point(self):
         # 1-D normal with mean 0, var 0.25 evaluated at 0.5
         spec = decoupled_spec(offsets=[0.0, 0.0], variances=[1.0, 0.25])
-        assert last_step_logpdf(spec, [0.0], [9.9], [0.5]) == pytest.approx(
+        assert final_step_logpdf(spec, [0.0], [9.9], [0.5]) == pytest.approx(
             -0.7257913, abs=1e-6
         )
 

@@ -12,7 +12,6 @@ from cspdec.diffusion import (
     DenoiserSpec,
     NoiseRecord,
     draw_noise_record,
-    last_step_logpdf,
     run_chain,
     tail_log_density_ratio,
 )
@@ -44,6 +43,28 @@ def fixed_gaussian_denoiser(mean, var, tail_var=1.0):
         offset=[[0.0], [float(mean)]],
         variance=[[float(tail_var)], [float(var)]],
     )
+
+
+class TestSpecDecodeConfig:
+    BASE = dict(gamma=2, steps=3, dim=1, length=4)
+    INTEGER_FIELDS = ["gamma", "steps", "dim", "length", "max_resample_trials", "seed"]
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    def test_numpy_integers_accepted(self, name):
+        config = SpecDecodeConfig(**{**self.BASE, name: np.int64(3)})
+        assert getattr(config, name) == 3
+
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    def test_non_integers_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SpecDecodeConfig(**{**self.BASE, name: value})
+
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    @pytest.mark.parametrize("name", ["rho", "temperature"])
+    def test_non_numbers_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            SpecDecodeConfig(**{**self.BASE, name: value})
 
 
 class TestAcceptanceLogRatio:
@@ -84,17 +105,17 @@ class TestAcceptanceLogRatio:
             traj_q = run_chain(draft, cond_q, noise, tau)
             x = traj_q.token
             lr, traj_p = acceptance_log_ratio(traj_q, target, cond_p, noise, x, tau)
-            p_mean = target.step_mean(steps - 1, traj_p.last_input, cond_p)
+            p_mean = target.step_mean(steps - 1, traj_p.outputs[-2], cond_p)
             expected = (
                 tail_log_density_ratio(traj_q, traj_p)
                 + gaussian_logpdf(x, GaussianParams(p_mean, t2 * target.variance[-1]))
-                - gaussian_logpdf(x, traj_q.last_params)
+                - gaussian_logpdf(x, GaussianParams(traj_q.means[-1], traj_q.variances[-1]))
             )
             assert lr == expected
 
             x_prev, x_out = rng.normal(size=dim), rng.normal(size=dim)
             mean = target.step_mean(steps - 1, x_prev, cond_p)
-            assert last_step_logpdf(target, cond_p, x_prev, x_out, tau) == gaussian_logpdf(
+            assert target.plan(tau).last_logpdf(x_out, mean) == gaussian_logpdf(
                 x_out, GaussianParams(mean, t2 * target.variance[-1])
             )
 
@@ -274,7 +295,7 @@ class TestGenerate:
         assert sum(stats.step_accepted) + len(stats.resample_positions) + sum(
             1 for o in stats.origins if o == TARGET_FALLTHROUGH
         ) == config.length
-        assert stats.wall_steps == len(stats.step_proposed)
+        assert len(stats.step_accepted) == len(stats.step_proposed)
 
     @pytest.mark.parametrize("variant", [{"aligned": False}, {"rho": 0.3}])
     @pytest.mark.parametrize("pair", ["std_pair", "prefix_pair"])

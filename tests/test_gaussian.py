@@ -10,7 +10,6 @@ from cspdec.gaussian import (
     GaussianParams,
     gaussian_logpdf,
     log_std_ratio,
-    reparameterize,
 )
 
 STD_NORMAL_MODE = -0.9189385332046727  # -0.5 * ln(2*pi)
@@ -51,20 +50,6 @@ class TestGaussianLogpdf:
         assert gaussian_logpdf(x, params) == gaussian_logpdf(x, params)
 
 
-class TestReparameterize:
-    def test_zero_noise_returns_mean(self):
-        params = GaussianParams(mean=[2.0, -1.0], variance=[4.0, 9.0])
-        assert np.array_equal(reparameterize(params, [0.0, 0.0]), [2.0, -1.0])
-
-    def test_component_arithmetic(self):
-        params = GaussianParams(mean=[2.0, -1.0], variance=[4.0, 9.0])
-        assert np.array_equal(reparameterize(params, [1.0, -1.0]), [4.0, -4.0])
-
-    def test_standard_normal_identity(self):
-        params = GaussianParams(mean=[0.0], variance=[1.0])
-        assert np.array_equal(reparameterize(params, [1.5]), [1.5])
-
-
 class TestLogStdRatio:
     def test_identical_variances_give_zero(self):
         assert log_std_ratio([0.3, 1.7], [0.3, 1.7]) == 0.0
@@ -103,7 +88,7 @@ class TestInvariants:
         d = min(len(mean), len(logvar), len(eps))
         params = GaussianParams(mean=mean[:d], variance=np.exp(logvar[:d]))
         e = np.asarray(eps[:d])
-        lhs = gaussian_logpdf(reparameterize(params, e), params)
+        lhs = gaussian_logpdf(np.sqrt(params.variance) * e + params.mean, params)
         rhs = float(np.sum(-0.5 * math.log(2 * math.pi) - e * e / 2.0)) + log_std_ratio(
             np.ones(d), params.variance
         )
