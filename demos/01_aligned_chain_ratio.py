@@ -25,9 +25,7 @@ traj_q = run_chain(draft.denoiser, cond_q, noise)
 print(f"draft token (chain output): {traj_q.token[0]:+.4f}")
 print(f"intermediate draft states:  {[f'{x[0]:+.4f}' for x in traj_q.outputs]}")
 
-log_ratio, traj_p = acceptance_log_ratio(
-    traj_q, target.denoiser, cond_p, noise, traj_q.token
-)
+log_ratio, traj_p = acceptance_log_ratio(traj_q, target.denoiser, cond_p, noise)
 brute_force = full_chain_log_ratio(
     draft.denoiser, target.denoiser, cond_q, cond_p, noise, traj_q.token
 )

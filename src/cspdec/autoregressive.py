@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffusion import DenoiserSpec, draw_noise_record, run_chain
+from .diffusion import DenoiserSpec, DenoisingTrajectory, draw_noise_record, run_chain
 from .gaussian import as_vector
 from .rng import PositionStreams
 
@@ -118,18 +118,21 @@ class SequenceState:
         return np.stack(self.tokens) if self.tokens else np.empty((0, 0))
 
 
-def sample_target_token(
+def sample_token(
     model: Model,
     tokens: Sequence[np.ndarray],
     position: int,
     streams: PositionStreams,
     temperature: float,
-) -> np.ndarray:
-    """Sample one token from ``model`` at ``position`` with a fresh noise record."""
+) -> tuple[np.ndarray, DenoisingTrajectory]:
+    """Sample ``model``'s token at ``position`` on a fresh record from the position's stream.
+
+    Returns the conditioning vector and the trajectory: its ``token`` is the
+    sample and its ``noise`` the record.
+    """
     cond = condition(model.backbone, tokens, position)
     record = draw_noise_record(model.steps, model.dim, streams.stream(position))
-    traj = run_chain(model.denoiser, cond, record, temperature, position=position)
-    return traj.token
+    return cond, run_chain(model.denoiser, cond, record, temperature, position=position)
 
 
 def _extend_from_target(
@@ -142,7 +145,8 @@ def _extend_from_target(
 ) -> SequenceState:
     for _ in range(count):
         pos = len(state)
-        state.append(sample_target_token(model, state.tokens, pos, streams, temperature), origin)
+        _, traj = sample_token(model, state.tokens, pos, streams, temperature)
+        state.append(traj.token, origin)
     return state
 
 

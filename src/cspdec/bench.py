@@ -10,7 +10,7 @@ draft chain step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,18 +131,17 @@ def sweep(
 ) -> SweepResult:
     """Run ``replicates`` generations at each value of one :data:`SWEEP_AXES` axis.
 
-    Each value is cast to its config field's type and every point's config
+    Each value goes to its config field as given, and every point's config
     is built before the first run, so :class:`SpecDecodeConfig` rejects a bad
-    value before any work is done.  Point ``index`` uses the seeds
-    ``replicate_seed(master_seed, tag * 1000 + index, r)``.
+    value (a gamma of 2.5, say) before any work is done.  Point ``index``
+    uses the seeds ``replicate_seed(master_seed, tag * 1000 + index, r)``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     name, tag = SWEEP_AXES[axis]
-    cast = get_type_hints(SpecDecodeConfig)[name]
-    configs = [replace(config, **{name: cast(v)}) for v in values]
+    configs = [replace(config, **{name: v}) for v in values]
     points = []
     for index, point_config in enumerate(configs):
         seeds = [

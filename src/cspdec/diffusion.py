@@ -41,12 +41,12 @@ class ChainDivergenceError(RuntimeError):
 
 
 def _as_step_matrix(values, name: str) -> np.ndarray:
-    """A checked ``(T, d)`` float64 copy of ``values``, which the caller keeps."""
+    """A checked 2-D float64 copy of ``values`` (1-D is one column), which the caller keeps."""
     arr = np.array(values, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be a (T, d) array, got shape {arr.shape}")
+        raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -164,30 +164,27 @@ class DenoiserSpec:
 
 @dataclass(frozen=True)
 class NoiseRecord:
-    """Pre-drawn standard-normal noise for one chain: ``x_T`` plus T step draws.
+    """Pre-drawn standard-normal noise for one chain, as one ``(T + 1, d)`` block.
 
-    ``eps`` rows are in execution order, matching :class:`DenoiserSpec`.
+    Row 0 is ``x_T`` and rows 1..T are the step draws in execution order,
+    matching :class:`DenoiserSpec`.  The block is a checked copy of the
+    caller's, frozen; ``x_init`` and ``eps`` are read-only views of it.
     """
 
-    x_init: np.ndarray
-    eps: np.ndarray
+    block: np.ndarray
 
     def __post_init__(self):
-        x = as_vector(self.x_init, name="x_init")
-        e = _as_step_matrix(self.eps, "eps")
-        if e.shape[1] != x.shape[0]:
-            raise ValueError("eps dimension does not match x_init")
-        e.flags.writeable = False
-        object.__setattr__(self, "x_init", x)
-        object.__setattr__(self, "eps", e)
+        z = _as_step_matrix(self.block, "noise block")
+        z.flags.writeable = False
+        object.__setattr__(self, "block", z)
 
     @property
-    def steps(self) -> int:
-        return self.eps.shape[0]
+    def x_init(self) -> np.ndarray:
+        return self.block[0]
 
     @property
-    def dim(self) -> int:
-        return self.eps.shape[1]
+    def eps(self) -> np.ndarray:
+        return self.block[1:]
 
 
 def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRecord:
@@ -200,26 +197,24 @@ def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRe
         raise ValueError("steps must be >= 2")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    z = rng.standard_normal((steps + 1, dim))
-    return NoiseRecord(z[0], z[1:])
+    return NoiseRecord(rng.standard_normal((steps + 1, dim)))
 
 
 @dataclass(frozen=True)
 class DenoisingTrajectory:
     """Full record of one chain run.
 
-    The mean of every step, the noise that drove it, every intermediate
-    state, and the :class:`ChainPlan` it ran on.  ``variances`` (temperature
-    already folded in) and ``log_var_tail`` are the plan's, shared read-only
-    by every chain of that denoiser at that temperature; ``log_var_tail`` is
-    ``0.5 * sum(log var)`` over all steps except the last, the quantity whose
-    difference between two aligned chains is the telescoped density-ratio
-    contribution of those steps.
+    The mean of every step, the :class:`NoiseRecord` that drove it, every
+    intermediate state, and the :class:`ChainPlan` it ran on.  ``variances``
+    (temperature already folded in) and ``log_var_tail`` are the plan's,
+    shared read-only by every chain of that denoiser at that temperature;
+    ``log_var_tail`` is ``0.5 * sum(log var)`` over all steps except the
+    last, the quantity whose difference between two aligned chains is the
+    telescoped density-ratio contribution of those steps.
     """
 
-    x_init: np.ndarray
+    noise: NoiseRecord
     means: np.ndarray
-    eps: np.ndarray
     outputs: np.ndarray
     plan: ChainPlan
 
@@ -265,7 +260,7 @@ def run_chain(
     cond : array_like
         Conditioning d-vector, held fixed for the whole chain.
     noise : NoiseRecord
-        Pre-drawn noise; must have exactly ``spec.steps`` rows.
+        Pre-drawn noise; its block must be ``(spec.steps + 1, spec.dim)``.
     temperature : float
         Multiplies every step variance by ``temperature**2``, in sampling and
         in the recorded densities alike.  Must be positive.
@@ -279,36 +274,32 @@ def run_chain(
         plan's shared read-only array.
     """
     cond = as_vector(cond, dim=spec.dim, name="cond")
-    eps = noise.eps
-    if eps.shape != spec.state_coef.shape:
-        raise ValueError(
-            f"noise record shape {eps.shape} does not match "
-            f"denoiser shape {spec.state_coef.shape}"
-        )
+    block = noise.block
+    shape = spec.state_coef.shape
+    if block.shape != (shape[0] + 1, shape[1]):
+        raise ValueError(f"noise block shape {block.shape} does not fit denoiser shape {shape}")
     plan = spec.plan(temperature)
 
-    means = np.empty(eps.shape)
-    outputs = np.empty(eps.shape)
+    means = np.empty(shape)
+    outputs = np.empty(shape)
     tanh = spec.nonlinearity == "tanh"
-    x = noise.x_init
+    x = block[0]
     for row, (a, c, b, scale) in enumerate(plan.rows):
         # spec.step_mean(row, x, cond) on the plan's rows, the same bits
         mean = a * x + c * cond + b
         if tanh:
             mean = np.tanh(mean)
-        x = scale * eps[row] + mean
+        x = scale * block[row + 1] + mean
         means[row] = mean
         outputs[row] = x
     if not np.isfinite(outputs).all():
         # Name the first non-finite row: a later one can come back finite
         # through tanh.
         first = int(np.isfinite(outputs).all(axis=1).argmin())
-        raise ChainDivergenceError(step=eps.shape[0] - first, position=position)
+        raise ChainDivergenceError(step=shape[0] - first, position=position)
     means.flags.writeable = False
     outputs.flags.writeable = False
-    return DenoisingTrajectory(
-        x_init=noise.x_init, means=means, eps=eps, outputs=outputs, plan=plan
-    )
+    return DenoisingTrajectory(noise=noise, means=means, outputs=outputs, plan=plan)
 
 
 def tail_log_density_ratio(traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory) -> float:

@@ -23,6 +23,7 @@ from .autoregressive import (
     SequenceState,
     condition,
     prefill,
+    sample_token,
 )
 from .diffusion import (
     DenoiserSpec,
@@ -32,7 +33,6 @@ from .diffusion import (
     run_chain,
     tail_log_density_ratio,
 )
-from .gaussian import as_vector
 from .rng import PositionStreams
 
 
@@ -85,6 +85,15 @@ class SpecDecodeConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+        # A numpy scalar becomes the Python one, which the results JSON can hold.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.integer):
+                object.__setattr__(self, f.name, int(value))
+            elif isinstance(value, np.floating):
+                object.__setattr__(self, f.name, float(value))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
         if self.steps < 2:
@@ -109,16 +118,6 @@ class SpecDecodeConfig:
 
     def with_seed(self, seed: int) -> "SpecDecodeConfig":
         return replace(self, seed=int(seed))
-
-
-@dataclass(frozen=True)
-class DraftProposal:
-    """One drafted token with everything needed to verify it."""
-
-    position: int
-    cond_q: np.ndarray
-    record: NoiseRecord
-    traj_q: DenoisingTrajectory
 
 
 @dataclass
@@ -150,30 +149,39 @@ class RunStats:
         return asdict(self)
 
 
+def aligned_log_ratio(
+    traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory, x: np.ndarray
+) -> float:
+    """Trajectory-aligned log density ratio ``log(S * p(x) / q(x))``.
+
+    The telescoped tail term ``log S`` of the two chains plus the final-step
+    log-densities of ``x``: the target's by substitution into its final step
+    given its own ``x_1``, the draft's under its own final step.  Both are
+    read off the trajectories' last means with the final-step terms of their
+    chain plans.  Verification evaluates it at the drafted token and
+    resampling at each candidate.
+    """
+    log_tail = tail_log_density_ratio(traj_q, traj_p)
+    log_p = traj_p.plan.last_logpdf(x, traj_p.means[-1])
+    log_q = traj_q.plan.last_logpdf(x, traj_q.means[-1])
+    return log_tail + log_p - log_q
+
+
 def acceptance_log_ratio(
     traj_q: DenoisingTrajectory,
     target: DenoiserSpec,
     cond_p,
     noise: NoiseRecord,
-    x_out,
     temperature: float = 1.0,
 ) -> tuple[float, DenoisingTrajectory]:
-    """Log acceptance ratio for one drafted token.
+    """Log acceptance ratio for the token drafted along ``traj_q``.
 
     Runs the target chain on the supplied noise record (the draft's record,
-    under alignment), then combines the telescoped tail term with the two
-    final-step log-densities at the drafted token: the target's by
-    substitution into its final step given its own ``x_1``, the draft's under
-    its own final step.  Both are read off the trajectories' last means with
-    the final-step terms of their chain plans.
-    Also returns the target trajectory.
+    ``traj_q.noise``, under alignment) and returns the
+    :func:`aligned_log_ratio` at ``traj_q.token`` with the target trajectory.
     """
     traj_p = run_chain(target, cond_p, noise, temperature)
-    log_tail = tail_log_density_ratio(traj_q, traj_p)
-    x_out = as_vector(x_out, dim=target.dim, name="x")
-    log_p = traj_p.plan.last_logpdf(x_out, traj_p.means[-1])
-    log_q = traj_q.plan.last_logpdf(x_out, traj_q.means[-1])
-    return log_tail + log_p - log_q, traj_p
+    return aligned_log_ratio(traj_q, traj_p, traj_q.token), traj_p
 
 
 def verify_drafts(log_ratios, uniforms) -> int:
@@ -192,17 +200,16 @@ def verify_drafts(log_ratios, uniforms) -> int:
     return len(log_ratios)
 
 
-def resample_threshold(log_q: float, log_tail: float, log_p: float) -> float:
-    """Acceptance-rejection threshold ``max(0, 1 - q / (S * p))`` in log space.
+def resample_threshold(log_ratio: float) -> float:
+    """Acceptance-rejection threshold ``max(0, 1 - 1/r)`` for ``log_ratio = log r``.
 
-    ``S`` is the tail variance-product factor; with the residual normalizer
-    folded into the envelope bound, the threshold needs only the two
-    final-step densities and the tail term.
+    ``r = S * p / q`` is the :func:`aligned_log_ratio` at the candidate; with
+    the residual normalizer folded into the envelope bound, the threshold
+    needs nothing else.
     """
-    delta = log_q - log_tail - log_p
-    if delta >= 0.0:
+    if log_ratio <= 0.0:
         return 0.0
-    return -math.expm1(delta)
+    return -math.expm1(-log_ratio)
 
 
 def rejection_resample(
@@ -219,8 +226,9 @@ def rejection_resample(
 
     Each trial draws an entirely fresh noise record, takes the candidate from
     the target chain, re-runs the draft chain on the same record (alignment,
-    which supplies the tail term and the draft's final-step state), computes
-    the threshold, and accepts with that probability.
+    which supplies the tail term and the draft's final-step state), and
+    accepts with the :func:`resample_threshold` of the
+    :func:`aligned_log_ratio` at the candidate.
 
     Returns the accepted token and the number of trials it took.
     """
@@ -228,15 +236,11 @@ def rejection_resample(
     for trial in range(1, max_trials + 1):
         record = draw_noise_record(target.steps, target.dim, rng)
         traj_p = run_chain(target, cond_p, record, temperature, position=position)
-        candidate = traj_p.token
         traj_q = run_chain(draft, cond_q, record, temperature, position=position)
-        log_tail = tail_log_density_ratio(traj_q, traj_p)
-        log_p = traj_p.plan.last_logpdf(candidate, traj_p.means[-1])
-        log_q = traj_q.plan.last_logpdf(candidate, traj_q.means[-1])
-        alpha = resample_threshold(log_q, log_tail, log_p)
+        alpha = resample_threshold(aligned_log_ratio(traj_q, traj_p, traj_p.token))
         threshold_sum += alpha
         if rng.random() <= alpha:
-            return candidate, trial
+            return traj_p.token, trial
     raise ResampleExhaustedError(
         trials=max_trials,
         mean_threshold=threshold_sum / max_trials,
@@ -271,37 +275,32 @@ def speculative_step(
     n_draft = min(gamma, state.remaining)
 
     # Draft phase: propose autoregressively, conditioning on earlier drafts.
+    # Draft i sits at position base + i and is the pair (cond_q, traj_q).
     context = list(state.tokens)
-    proposals = []
+    drafts = []
     for i in range(n_draft):
-        pos = base + i
-        cond_q = condition(draft.backbone, context, pos)
-        record = draw_noise_record(draft.steps, draft.dim, streams.stream(pos))
-        traj_q = run_chain(draft.denoiser, cond_q, record, temperature, position=pos)
-        proposals.append(DraftProposal(position=pos, cond_q=cond_q, record=record, traj_q=traj_q))
-        context.append(traj_q.token)
+        drafts.append(sample_token(draft, context, base + i, streams, temperature))
+        context.append(drafts[-1][1].token)
 
     # Verification phase: target conditions on the same prefix-plus-drafts.
     log_ratios: list[float] = []
     uniforms: list[float] = []
     cond_ps: list[np.ndarray] = []
-    for prop in proposals:
-        cond_p = condition(target.backbone, context, prop.position)
+    for pos, (_, traj_q) in enumerate(drafts, start=base):
+        cond_p = condition(target.backbone, context, pos)
         noise = (
-            prop.record
+            traj_q.noise
             if aligned
-            else draw_noise_record(target.steps, target.dim, streams.stream(prop.position))
+            else draw_noise_record(target.steps, target.dim, streams.stream(pos))
         )
-        lr, _ = acceptance_log_ratio(
-            prop.traj_q, target.denoiser, cond_p, noise, prop.traj_q.token, temperature
-        )
+        lr, _ = acceptance_log_ratio(traj_q, target.denoiser, cond_p, noise, temperature)
         log_ratios.append(lr)
-        uniforms.append(float(streams.stream(prop.position).random()))
+        uniforms.append(float(streams.stream(pos).random()))
         cond_ps.append(cond_p)
 
     n = verify_drafts(log_ratios, uniforms)
-    for prop in proposals[:n]:
-        state.append(prop.traj_q.token, DRAFT_ACCEPTED)
+    for _, traj_q in drafts[:n]:
+        state.append(traj_q.token, DRAFT_ACCEPTED)
 
     # One draft and one target verification chain per proposal.
     stats.draft_chain_calls += n_draft
@@ -312,7 +311,7 @@ def speculative_step(
             target.denoiser,
             cond_ps[n],
             draft.denoiser,
-            proposals[n].cond_q,
+            drafts[n][0],
             temperature,
             streams.stream(pos),
             max_trials=max_resample_trials,
@@ -326,15 +325,12 @@ def speculative_step(
         stats.draft_chain_calls += trials
     elif state.remaining > 0:
         # Bonus token: the target's own sample at the next position.
-        pos = base + n_draft
-        cond_p = condition(target.backbone, context, pos)
-        record = draw_noise_record(target.steps, target.dim, streams.stream(pos))
-        traj = run_chain(target.denoiser, cond_p, record, temperature, position=pos)
+        _, traj = sample_token(target, context, base + n_draft, streams, temperature)
         state.append(traj.token, TARGET_FALLTHROUGH)
         stats.target_chain_calls += 1
 
-    for i, prop in enumerate(proposals):
-        stats.proposal_positions.append(prop.position)
+    for i in range(n_draft):
+        stats.proposal_positions.append(base + i)
         stats.proposal_log_ratios.append(log_ratios[i])
         stats.proposal_uniforms.append(uniforms[i])
         stats.proposal_examined.append(i <= n)

@@ -9,6 +9,7 @@ from cspdec.autoregressive import (
     condition,
     prefill,
     prefill_count,
+    sample_token,
     target_only_generate,
 )
 from cspdec.diffusion import analytic_marginal, draw_noise_record, run_chain
@@ -97,6 +98,17 @@ class TestPrefill:
         b = target_only_generate(target, 7, PositionStreams(42))
         assert np.array_equal(a.tokens_array(), b.tokens_array())
         assert a.origins == [PREFILLED] * 7
+
+    def test_prefilled_tokens_replay_through_sample_token(self, std_pair):
+        # pre-fill samples each position with sample_token on its own stream
+        target, _, _ = std_pair
+        state = prefill(target, 8, 0.5, PositionStreams(61), temperature=1.3)
+        assert len(state) == 4
+        fresh = PositionStreams(61)
+        for i, token in enumerate(state.tokens):
+            cond, traj = sample_token(target, state.tokens[:i], i, fresh, 1.3)
+            assert np.array_equal(cond, condition(target.backbone, state.tokens, i))
+            assert np.array_equal(traj.token, token)
 
     def test_rho_out_of_range_rejected(self, std_pair):
         target, _, _ = std_pair

@@ -100,6 +100,10 @@ class TestSweeps:
         monkeypatch.setattr(bench, "run_replicates", lambda *args, **kw: runs.append(args))
         with pytest.raises(ValueError, match="rho must lie in"):
             sweep(target, draft, config, "prefill", [0.0, 1.5], 1, 0)
+        # A gamma is taken as given, never truncated to an integer.
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="gamma must be an integer"):
+                sweep(target, draft, config, "gamma", [1, bad], 1, 0)
         assert runs == []
 
     def test_axis_values_take_the_field_type(self, small_stationary):

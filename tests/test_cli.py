@@ -119,6 +119,11 @@ class TestConfigTypes:
         assert self._generate(doc, tmp_path) == 2
         assert f"error: {key} must be" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, std_config_path, tmp_path, capsys):
+        out = str(tmp_path / "x.json")
+        assert main(["generate", "--config", std_config_path, "--seed", "-1", "--out", out]) == 2
+        assert "error: seed must be non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["T", "d"])
     def test_bool_shape_exits_2(self, key, std_config_path, tmp_path, capsys):
         doc = json.loads(Path(std_config_path).read_text())

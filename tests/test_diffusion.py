@@ -75,23 +75,39 @@ class TestDrawNoiseRecord:
         assert rng.random() == twin.random()
 
 
+class TestNoiseRecord:
+    def test_x_init_and_eps_are_read_only_views_of_the_block(self):
+        record = NoiseRecord([[0.4], [0.3], [-0.7]])
+        assert np.array_equal(record.x_init, [0.4])
+        assert np.array_equal(record.eps, [[0.3], [-0.7]])
+        for view in (record.x_init, record.eps):
+            assert np.shares_memory(view, record.block)
+            with pytest.raises(ValueError):
+                view[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            NoiseRecord([[0.4], [bad], [-0.7]])
+
+
 class TestRunChain:
     def test_identity_chain_with_zero_noise_passes_state_through(self):
         spec = passthrough_spec(steps=3, dim=2)
-        noise = NoiseRecord(x_init=[0.7, -1.1], eps=np.zeros((3, 2)))
+        noise = NoiseRecord([[0.7, -1.1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         traj = run_chain(spec, [0.0, 0.0], noise)
         assert np.array_equal(traj.token, noise.x_init)
 
     def test_hand_iterated_two_step_chain(self):
         spec = decoupled_spec(offsets=[0.0, 0.0], variances=[1.0, 1.0])
-        noise = NoiseRecord(x_init=[5.0], eps=[[0.3], [-0.7]])
+        noise = NoiseRecord([[5.0], [0.3], [-0.7]])
         traj = run_chain(spec, [0.0], noise)
         assert traj.outputs[0] == pytest.approx([0.3])
         assert traj.token == pytest.approx([-0.7])
 
     def test_temperature_scales_noise_and_tail(self):
         spec = decoupled_spec(offsets=[0.0, 0.0], variances=[1.0, 1.0])
-        noise = NoiseRecord(x_init=[5.0], eps=[[0.3], [-0.7]])
+        noise = NoiseRecord([[5.0], [0.3], [-0.7]])
         base = run_chain(spec, [0.0], noise, temperature=1.0)
         hot = run_chain(spec, [0.0], noise, temperature=2.0)
         assert hot.outputs[0] == pytest.approx([0.6])
@@ -115,7 +131,7 @@ class TestRunChain:
             offset=[[0.0], [0.0]],
             variance=[[1.0], [1.0]],
         )
-        noise = NoiseRecord(x_init=[1e200], eps=np.zeros((2, 1)))
+        noise = NoiseRecord([[1e200], [0.0], [0.0]])
         with np.errstate(over="ignore"), pytest.raises(ChainDivergenceError) as err:
             run_chain(spec, [0.0], noise)
         assert err.value.step == 2
@@ -130,7 +146,7 @@ class TestRunChain:
             variance=[[1e300], [1.0]],
             nonlinearity="tanh",
         )
-        noise = NoiseRecord(x_init=[0.0], eps=[[1e160], [0.5]])
+        noise = NoiseRecord([[0.0], [1e160], [0.5]])
         with np.errstate(over="ignore"), pytest.raises(ChainDivergenceError) as err:
             run_chain(spec, [0.0], noise, position=4)
         assert err.value.step == 2
@@ -142,7 +158,7 @@ class TestRunChain:
         noise = draw_noise_record(4, 2, rng)
         traj = run_chain(spec, [0.1, -0.2], noise, temperature=0.8)
         for row in range(traj.steps):
-            redo = np.sqrt(traj.variances[row]) * traj.eps[row] + traj.means[row]
+            redo = np.sqrt(traj.variances[row]) * traj.noise.eps[row] + traj.means[row]
             assert np.array_equal(redo, traj.outputs[row])
 
     def test_log_var_tail_matches_stored_step_params_exactly(self):
@@ -396,7 +412,7 @@ class TestFullChainEquivalence:
             cond_p = rng.uniform(-1, 1, dim)
             noise = draw_noise_record(steps, dim, rng)
             traj_q = run_chain(spec_q, cond_q, noise)
-            lr, _ = acceptance_log_ratio(traj_q, spec_p, cond_p, noise, traj_q.token)
+            lr, _ = acceptance_log_ratio(traj_q, spec_p, cond_p, noise)
             full = full_chain_log_ratio(spec_q, spec_p, cond_q, cond_p, noise, traj_q.token)
             assert lr == pytest.approx(full, abs=1e-9)
 
@@ -415,22 +431,28 @@ class TestSpecValidation:
     def test_caller_arrays_are_copied_not_frozen(self):
         a, c, b, v = (np.full((2, 1), x) for x in (0.5, 0.2, -0.1, 0.8))
         spec = DenoiserSpec(state_coef=a, cond_coef=c, offset=b, variance=v)
-        e = np.array([[0.3], [-0.7]])
-        record = NoiseRecord(x_init=[0.4], eps=e)
+        z = np.array([[0.4], [0.3], [-0.7]])
+        record = NoiseRecord(z)
         before = run_chain(spec, [0.1], record)
         plan = spec.plan(1.0)
-        for arr in (a, c, b, v, e):
+        for arr in (a, c, b, v, z):
             assert arr.flags.writeable
             arr[...] = 9.0
         assert np.array_equal(spec.state_coef, [[0.5], [0.5]])
         assert np.array_equal(spec.variance, [[0.8], [0.8]])
-        assert np.array_equal(record.eps, [[0.3], [-0.7]])
+        assert np.array_equal(record.block, [[0.4], [0.3], [-0.7]])
         assert spec.plan(1.0) is plan and np.array_equal(plan.variances, [[0.8], [0.8]])
         again = run_chain(spec, [0.1], record)
         assert np.array_equal(again.outputs, before.outputs)
 
     def test_noise_record_shape_mismatch_rejected(self):
+        # A three-step chain in one dimension needs a (4, 1) block: x_T plus
+        # one row per step.
         spec = passthrough_spec(steps=3, dim=1)
-        noise = draw_noise_record(2, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            run_chain(spec, [0.0], noise)
+        for noise in (
+            draw_noise_record(2, 1, np.random.default_rng(0)),
+            NoiseRecord(np.zeros((5, 1))),
+            NoiseRecord(np.zeros((4, 2))),
+        ):
+            with pytest.raises(ValueError, match="noise block shape"):
+                run_chain(spec, [0.0], noise)

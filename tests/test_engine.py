@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cspdec.autoregressive as autoregressive
+import cspdec.configio as configio
 import cspdec.engine as engine
 from cspdec.autoregressive import DRAFT_ACCEPTED, RESAMPLED, TARGET_FALLTHROUGH
 from cspdec.diffusion import (
@@ -30,7 +31,7 @@ from cspdec.gaussian import GaussianParams, gaussian_logpdf
 from cspdec.oracle import Grid1D, beta_integral, empirical_acceptance, gaussian_density
 from cspdec.rng import PositionStreams, replicate_seed
 from cspdec.scenarios import decoupled_pair
-from cspdec.autoregressive import SequenceState, target_only_generate
+from cspdec.autoregressive import SequenceState, sample_token, target_only_generate
 
 from conftest import drop_whole_chain_variance_product, random_denoiser
 
@@ -66,6 +67,22 @@ class TestSpecDecodeConfig:
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             SpecDecodeConfig(**{**self.BASE, name: value})
 
+    def test_numpy_scalars_dump_the_bytes_of_their_python_twin(self, std_pair):
+        target, draft, config = std_pair
+        plain = replace(config, gamma=3, temperature=1.0, rho=0.25, seed=12)
+        scalars = replace(
+            config, gamma=np.int64(3), temperature=np.float32(1.0), rho=np.float64(0.25),
+            seed=np.uint32(12),
+        )
+        assert type(scalars.gamma) is int and type(scalars.temperature) is float
+        dumps = [configio.dump_json(generate(target, draft, c)[1].to_dict())
+                 for c in (plain, scalars)]
+        assert dumps[0] == dumps[1]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SpecDecodeConfig(**{**self.BASE, "seed": -1})
+
 
 class TestAcceptanceLogRatio:
     def test_identical_models_cancel_exactly(self, std_pair):
@@ -74,7 +91,7 @@ class TestAcceptanceLogRatio:
         noise = draw_noise_record(target.steps, target.dim, rng)
         cond = np.array([0.3])
         traj = run_chain(target.denoiser, cond, noise)
-        lr, _ = acceptance_log_ratio(traj, target.denoiser, cond, noise, traj.token)
+        lr, _ = acceptance_log_ratio(traj, target.denoiser, cond, noise)
         assert lr == 0.0
 
     def test_hand_computed_two_normal_case(self):
@@ -82,10 +99,10 @@ class TestAcceptanceLogRatio:
         # verified token 0.5
         target = fixed_gaussian_denoiser(0.0, 1.0)
         draft = fixed_gaussian_denoiser(1.0, 0.25)
-        noise = NoiseRecord(x_init=[0.4], eps=[[0.9], [-1.0]])  # draft token = 1-0.5 = 0.5
+        noise = NoiseRecord([[0.4], [0.9], [-1.0]])  # draft token = 1-0.5 = 0.5
         traj_q = run_chain(draft, [0.0], noise)
         assert traj_q.token[0] == pytest.approx(0.5)
-        lr, traj_p = acceptance_log_ratio(traj_q, target, [0.0], noise, traj_q.token)
+        lr, traj_p = acceptance_log_ratio(traj_q, target, [0.0], noise)
         assert lr == pytest.approx(-1.0439385 + 0.7257913, abs=1e-6)
         assert math.exp(lr) == pytest.approx(0.7275, abs=1e-4)
         assert traj_p.steps == 2
@@ -104,7 +121,7 @@ class TestAcceptanceLogRatio:
             noise = draw_noise_record(steps, dim, rng)
             traj_q = run_chain(draft, cond_q, noise, tau)
             x = traj_q.token
-            lr, traj_p = acceptance_log_ratio(traj_q, target, cond_p, noise, x, tau)
+            lr, traj_p = acceptance_log_ratio(traj_q, target, cond_p, noise, tau)
             p_mean = target.step_mean(steps - 1, traj_p.outputs[-2], cond_p)
             expected = (
                 tail_log_density_ratio(traj_q, traj_p)
@@ -144,15 +161,24 @@ class TestVerifyDrafts:
 
 class TestResampleThreshold:
     def test_zero_when_draft_dominates(self):
-        assert resample_threshold(0.0, 0.0, -1.0) == 0.0
+        for log_ratio in (-1.0, -0.0, 0.0):
+            assert resample_threshold(log_ratio) == 0.0
 
     def test_two_normal_point_value(self):
         # p = N(0,1), q = N(2,1), candidate -1: 1 - phi(3)/phi(1) = 1 - e^-4
         log_p = -0.5 * math.log(2 * math.pi) - 0.5
         log_q = -0.5 * math.log(2 * math.pi) - 4.5
-        assert resample_threshold(log_q, 0.0, log_p) == pytest.approx(
-            0.9816844, abs=1e-6
-        )
+        assert resample_threshold(log_p - log_q) == pytest.approx(0.9816844, abs=1e-6)
+
+    def test_equal_tails_give_the_bits_of_the_q_over_p_form(self):
+        # With a zero tail term the ratio is 0.0 + log p - log q, and
+        # -fl(p - q) == fl(q - p), so 1 - 1/r has the bits of 1 - q/p.
+        rng = np.random.default_rng(8)
+        for log_p, log_q in rng.normal(-2.0, 3.0, (2000, 2)):
+            log_ratio = 0.0 + log_p - log_q
+            delta = log_q - 0.0 - log_p
+            expected = 0.0 if delta >= 0.0 else -math.expm1(delta)
+            assert resample_threshold(log_ratio) == expected
 
 
 class TestRejectionResample:
@@ -180,6 +206,44 @@ class TestRejectionResample:
             )
         assert err.value.trials == 64
         assert err.value.mean_threshold == pytest.approx(0.0, abs=1e-12)
+
+    def test_each_trial_threshold_is_the_verification_ratio_of_its_candidate(
+        self, monkeypatch
+    ):
+        # Unequal tail schedules make the tail term material.  Each trial's
+        # threshold is resample_threshold of the ratio verification gives a
+        # draft that proposed the candidate along the trial's record.
+        target = fixed_gaussian_denoiser(0.0, 1.0, tail_var=1.0)
+        draft = fixed_gaussian_denoiser(0.6, 1.0, tail_var=2.2)
+        cond_p, cond_q, tau = [0.0], [0.0], 1.1
+        records, thresholds = [], []
+
+        def recording(draw):
+            def drawn(*args):
+                records.append(draw(*args))
+                return records[-1]
+
+            return drawn
+
+        def spy(log_ratio):
+            thresholds.append(resample_threshold(log_ratio))
+            return thresholds[-1]
+
+        monkeypatch.setattr(engine, "draw_noise_record", recording(engine.draw_noise_record))
+        monkeypatch.setattr(engine, "resample_threshold", spy)
+        rng = np.random.default_rng(21)
+        trials = sum(
+            rejection_resample(target, cond_p, draft, cond_q, tau, rng)[1] for _ in range(40)
+        )
+        assert len(records) == len(thresholds) == trials > 40
+        assert 0.0 in thresholds and max(thresholds) > 0.0
+        for record, threshold in zip(records, thresholds):
+            traj_q = run_chain(draft, cond_q, record, tau)
+            candidate = run_chain(target, cond_p, record, tau).token
+            proposed = replace(traj_q, outputs=np.vstack([traj_q.outputs[:-1], candidate]))
+            lr, traj_p = acceptance_log_ratio(proposed, target, cond_p, record, tau)
+            assert tail_log_density_ratio(proposed, traj_p) != 0.0
+            assert threshold == resample_threshold(lr)
 
     def test_outputs_concentrate_where_target_exceeds_draft(self):
         # residual of N(0,1) minus N(2,1) lives left of the crossing at x=1
@@ -244,6 +308,20 @@ class TestSpeculativeStep:
             context.append(traj.token)
         if n < config.gamma:
             assert state.origins[n] == RESAMPLED
+
+    def test_full_acceptance_bonus_token_replays_through_sample_token(self, std_pair):
+        # Identical models accept every draft; the bonus token is the target's
+        # sample_token at the next position, on that position's stream.
+        target, _, _ = std_pair
+        state = speculative_step(
+            target, target, SequenceState(capacity=10), gamma=3, temperature=0.9,
+            streams=PositionStreams(13), stats=RunStats(),
+        )
+        assert state.origins == [DRAFT_ACCEPTED] * 3 + [TARGET_FALLTHROUGH]
+        fresh = PositionStreams(13)
+        for i, token in enumerate(state.tokens):
+            _, traj = sample_token(target, state.tokens[:i], i, fresh, 0.9)
+            assert np.array_equal(traj.token, token)
 
     def test_capacity_pre_condition(self, std_pair):
         target, draft, _ = std_pair
@@ -422,20 +500,20 @@ class TestFaultInjection:
         # 0.2 (target), from the log-ratio and the resampling threshold alike
         target, draft, _ = std_pair
         shift = -0.5 * math.log(0.3 / 0.2)
-        noise = NoiseRecord(x_init=[0.4], eps=[[0.9], [-1.0], [0.3]])
+        noise = NoiseRecord([[0.4], [0.9], [-1.0], [0.3]])
         cond_q, cond_p = [0.2], [-0.1]
         traj_q = run_chain(draft.denoiser, cond_q, noise)
 
-        thresholds = []
+        resample_ratios = []
 
-        def spy(log_q, log_tail, log_p):
-            thresholds.append((log_q, log_tail, log_p))
+        def spy(log_ratio):
+            resample_ratios.append(log_ratio)
             return 1.0  # accept the first trial
 
         monkeypatch.setattr(engine, "resample_threshold", spy)
 
         def both():
-            lr, _ = acceptance_log_ratio(traj_q, target.denoiser, cond_p, noise, traj_q.token)
+            lr, _ = acceptance_log_ratio(traj_q, target.denoiser, cond_p, noise)
             rejection_resample(
                 target.denoiser, cond_p, draft.denoiser, cond_q, 1.0, np.random.default_rng(5)
             )
@@ -445,7 +523,5 @@ class TestFaultInjection:
         monkeypatch.setattr(engine, "tail_log_density_ratio", drop_whole_chain_variance_product)
         broken = both()
         assert broken - base == pytest.approx(shift, abs=1e-12)
-        (q0, tail0, p0), (q1, tail1, p1) = thresholds
-        assert tail0 == 0.0
-        assert (q1, p1) == (q0, p0)
-        assert tail1 - tail0 == pytest.approx(shift, abs=1e-12)
+        resample_base, resample_broken = resample_ratios
+        assert resample_broken - resample_base == pytest.approx(shift, abs=1e-12)

@@ -125,9 +125,7 @@ class TestFullChainLogRatio:
             tau = float(rng.choice([0.7, 1.0, 1.3]))
             noise = draw_noise_record(steps, dim, rng)
             traj_q = run_chain(spec_q, cond_q, noise, tau)
-            lr, _ = acceptance_log_ratio(
-                traj_q, spec_p, cond_p, noise, traj_q.token, tau
-            )
+            lr, _ = acceptance_log_ratio(traj_q, spec_p, cond_p, noise, tau)
             full = full_chain_log_ratio(
                 spec_q, spec_p, cond_q, cond_p, noise, traj_q.token, tau
             )
