@@ -7,9 +7,10 @@ Subcommands::
     cspdec sweep gamma 4 8 16 32 --config cfg.json --replicates 200 --out sweep.csv
     cspdec formula 0.5 1 0
 
-Exit codes: 0 success (check-dist: all positions pass), 2 usage or config
-error, 3 numerical divergence or resampling exhaustion.  Every command is
-byte-reproducible from (config, seed).
+Exit codes: 0 success (check-dist: all positions pass), 1 check-dist found a
+failing position, 2 usage or config error, 3 numerical divergence or
+resampling exhaustion.  Every command is byte-reproducible from (config, seed).
+Only check-dist loads scipy, for its KS statistics.
 """
 
 from __future__ import annotations

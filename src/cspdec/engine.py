@@ -85,10 +85,15 @@ class SpecDecodeConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+        # A truthy string such as "no" would otherwise run aligned.
+        if not isinstance(self.aligned, (bool, np.bool_)):
+            raise ValueError(f"aligned must be a bool, got {self.aligned!r}")
         # A numpy scalar becomes the Python one, which the results JSON can hold.
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, np.integer):
+            if isinstance(value, np.bool_):
+                object.__setattr__(self, f.name, bool(value))
+            elif isinstance(value, np.integer):
                 object.__setattr__(self, f.name, int(value))
             elif isinstance(value, np.floating):
                 object.__setattr__(self, f.name, float(value))

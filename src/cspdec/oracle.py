@@ -4,6 +4,9 @@ Everything here is deliberately brute force: grid integration for the
 residual distribution and its normalizer, a term-by-term chain-ratio
 computation that never uses the telescoped shortcut, and standard two-sample
 statistics.  The engine is judged against these, never the other way around.
+
+scipy is imported inside the two functions that use it, so importing this
+module (and every command that does not run a statistical test) never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .autoregressive import Model
 from .diffusion import DenoiserSpec, NoiseRecord, run_chain, trajectory_logpdf_terms
@@ -169,7 +171,9 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be non-empty")
-    result = scipy_stats.ks_2samp(a, b, method="asymp")
+    from scipy import stats
+
+    result = stats.ks_2samp(a, b, method="asymp")
     return float(result.statistic), float(result.pvalue)
 
 
@@ -226,7 +230,14 @@ def chi_square_gof(samples, reference: ResidualDistribution) -> tuple[float, int
 
 
 def chi_square_critical(df: int, significance: float) -> float:
-    return float(scipy_stats.chi2.ppf(1.0 - significance, df))
+    """Upper ``significance`` quantile of the chi-square law with ``df`` degrees of freedom."""
+    if not 0.0 < significance < 1.0:
+        raise ValueError("significance must lie in (0, 1)")
+    if not df >= 1:
+        raise ValueError(f"df must be >= 1, got {df!r}")
+    from scipy import stats
+
+    return float(stats.chi2.ppf(1.0 - significance, df))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cspdec.cli as cli
 from cspdec.cli import main
 from cspdec.configio import (
     ConfigError,
@@ -16,6 +17,7 @@ from cspdec.configio import (
     load_model_config,
     save_model_config,
 )
+from cspdec.oracle import DistCheckResult, PositionKS
 from cspdec.scenarios import scenario_path, standard_pair
 
 
@@ -394,3 +396,15 @@ class TestCheckDistCommand:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_failing_position_exits_1(self, tiny_config_path, monkeypatch, capsys):
+        failing = DistCheckResult(runs=1000, significance=0.01, tests=(
+            PositionKS(position=0, coordinate=0, statistic=0.01, pvalue=0.9, critical=0.07),
+            PositionKS(position=1, coordinate=0, statistic=0.2, pvalue=1e-9, critical=0.07),
+        ))
+        monkeypatch.setattr(cli, "distribution_check", lambda *args, **kwargs: failing)
+        code = main(["check-dist", "--config", tiny_config_path, "--replicates", "1000"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "position 1: ks=0.200000 crit=0.070000 p=0.0000 FAIL" in out
+        assert "overall: FAIL" in out

@@ -79,6 +79,20 @@ class TestSpecDecodeConfig:
                  for c in (plain, scalars)]
         assert dumps[0] == dumps[1]
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_non_bool_aligned_rejected(self, value):
+        with pytest.raises(ValueError, match="aligned must be a bool"):
+            SpecDecodeConfig(**{**self.BASE, "aligned": value})
+
+    def test_numpy_bool_aligned_dumps_the_bytes_of_its_python_twin(self, std_pair):
+        target, draft, config = std_pair
+        plain = replace(config, aligned=False)
+        scalar = replace(config, aligned=np.bool_(False))
+        assert type(scalar.aligned) is bool
+        dumps = [configio.dump_json(generate(target, draft, c)[1].to_dict())
+                 for c in (plain, scalar)]
+        assert dumps[0] == dumps[1]
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SpecDecodeConfig(**{**self.BASE, "seed": -1})

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from cspdec.oracle import (
 
 from conftest import random_denoiser
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 STD_PAIR_Z = 0.3829249  # 2*Phi(0.5) - 1 for N(0,1) vs N(1,1)
 
 
@@ -209,6 +215,21 @@ class TestChiSquareGof:
         with pytest.raises(ValueError):
             chi_square_gof(res.sample(np.random.default_rng(9), 4), res)
 
+    def test_critical_value_tabulated(self):
+        assert chi_square_critical(1, 0.05) == pytest.approx(3.841459, abs=1e-6)
+        assert chi_square_critical(10, 0.01) == pytest.approx(23.209251, abs=1e-6)
+
+    @pytest.mark.parametrize("significance", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_critical_value_rejects_significance_outside_unit_interval(self, significance):
+        # scipy returns inf at 0 and nan at 1.5 instead of raising
+        with pytest.raises(ValueError, match="significance must lie in"):
+            chi_square_critical(3, significance)
+
+    @pytest.mark.parametrize("df", [0, -2, float("nan")])
+    def test_critical_value_rejects_df_below_one(self, df):
+        with pytest.raises(ValueError, match="df must be >= 1"):
+            chi_square_critical(df, 0.01)
+
 
 class TestEmpiricalAcceptance:
     def synthetic(self, accepted_flags, positions=None):
@@ -237,3 +258,36 @@ class TestEmpiricalAcceptance:
         assert summary.position_rate(0) == 0.5
         assert summary.position_rate(1) == 0.5
         assert summary.proposed == 4
+
+
+# Runs in a fresh interpreter, because this one has already loaded scipy.
+LAZY_SCIPY_PROBE = """
+import importlib, json, pkgutil, sys
+import cspdec
+for module in pkgutil.iter_modules(cspdec.__path__):
+    importlib.import_module("cspdec." + module.name)
+from cspdec import cli, oracle
+from cspdec.scenarios import scenario_path
+config = str(scenario_path("standard_pair"))
+out = sys.argv[1]
+codes = [cli.main(argv) for argv in (
+    ["generate", "--config", config, "--out", out],
+    ["sweep", "gamma", "1", "2", "--config", config, "--out", out],
+    ["formula", "0.5", "2", "0.1"],
+)]
+loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
+oracle.ks_two_sample([0.0, 1.0], [0.5, 2.0])
+print(json.dumps({"codes": codes, "loaded": loaded, "after_ks": "scipy.stats" in sys.modules}))
+"""
+
+
+def test_scipy_is_loaded_only_by_a_statistical_test(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY_PROBE, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["loaded"] == []
+    assert result["after_ks"] is True
