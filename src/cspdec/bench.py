@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autoregressive import Model
+from .autoregressive import PREFILLED, Model
 from .engine import RunStats, SpecDecodeConfig
 from .oracle import empirical_acceptance
 from .parallel import run_replicates
@@ -65,7 +65,7 @@ def tokens_per_step(stats: RunStats) -> float | None:
     """Tokens appended per speculative step (pre-filled tokens excluded)."""
     if not stats.step_accepted:
         return None
-    produced = sum(1 for o in stats.origins if o != "prefilled")
+    produced = sum(1 for o in stats.origins if o != PREFILLED)
     return produced / len(stats.step_accepted)
 
 
@@ -81,7 +81,7 @@ def simulated_speedup(stats_list: Sequence[RunStats], cost_ratio: float) -> floa
     for st in stats_list:
         tokens += len(st.origins)
         cost += sum(p * cost_ratio + 1.0 for p in st.step_proposed)
-        cost += sum(1.0 for o in st.origins if o == "prefilled")
+        cost += sum(1.0 for o in st.origins if o == PREFILLED)
     if cost == 0.0:
         raise ValueError("no steps recorded")
     return tokens / cost

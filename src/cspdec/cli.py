@@ -46,8 +46,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="model-config JSON path")
     parser.add_argument("--seed", type=int, default=None, help="master seed (u64)")
     parser.add_argument("--gamma", type=int, default=None, help="draft length")
-    parser.add_argument("--steps", type=int, default=None, help="assert denoising step count")
-    parser.add_argument("--dim", type=int, default=None, help="assert token dimension")
     parser.add_argument("--len", dest="length", type=int, default=None, help="sequence length")
     parser.add_argument("--rho", type=float, default=None, help="pre-fill ratio in [0, 1]")
     parser.add_argument("--temp", type=float, default=None, help="sampling temperature")
@@ -88,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args) -> tuple:
     model_config = load_model_config(args.config)
-    if args.steps is not None and args.steps != model_config.steps:
-        raise ConfigError(
-            f"--steps {args.steps} does not match the config's T={model_config.steps}"
-        )
-    if args.dim is not None and args.dim != model_config.dim:
-        raise ConfigError(f"--dim {args.dim} does not match the config's d={model_config.dim}")
     run_config = model_config.spec_config(
         gamma=args.gamma,
         length=args.length,
@@ -127,8 +119,6 @@ def _cmd_check_dist(args) -> int:
     model_config, run_config = _resolve(args)
     if args.replicates < 1000:
         raise ConfigError("check-dist needs --replicates >= 1000")
-    if not 0.0 < args.significance < 1.0:
-        raise ConfigError("--significance must lie in (0, 1)")
     result = distribution_check(
         model_config.target,
         model_config.draft,

@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,11 +30,41 @@ class ConfigError(ValueError):
     """A config document failed to parse or validate."""
 
 
-def _matrix(values, steps: int, dim: int, path: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (steps, dim):
-        raise ConfigError(f"{path}: expected a {steps}x{dim} array, got shape {arr.shape}")
+def _checked_object(data, path: str, keys, required) -> dict:
+    """``data`` as a JSON object whose keys are among ``keys`` and include ``required``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
+    if not set(data) <= set(keys):
+        raise ConfigError(f"{path}: unknown keys {sorted(set(data) - set(keys))}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{path}: missing key {key!r}")
+    return data
+
+
+def _array(value, shape: tuple[int, ...], path: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if arr.ndim == 0:
+        arr = arr.reshape(1)  # a scalar is a one-element vector, as ``as_vector`` reads it
+    if arr.shape != shape:
+        raise ConfigError(f"{path}: expected shape {shape}, got {arr.shape}")
     return arr
+
+
+def _spec_from_dict(cls, data, shape: tuple[int, ...], path: str):
+    """A ``cls`` read from a JSON object keyed by its fields; each array field has ``shape``."""
+    specs = fields(cls)
+    required = [f.name for f in specs if f.default is MISSING]
+    _checked_object(data, path, [f.name for f in specs], required)
+    arrays = [k for k, t in get_type_hints(cls).items() if t is np.ndarray]
+    values = {k: _array(v, shape, f"{path}.{k}") if k in arrays else v for k, v in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _spec_to_dict(spec: DenoiserSpec | ARBackboneSpec) -> dict:
@@ -45,56 +76,34 @@ def model_to_dict(model: Model) -> dict:
     return {"denoiser": _spec_to_dict(model.denoiser), "backbone": _spec_to_dict(model.backbone)}
 
 
-def _denoiser_from_dict(data: dict, steps: int, dim: int, path: str) -> DenoiserSpec:
-    try:
-        return DenoiserSpec(
-            state_coef=_matrix(data["state_coef"], steps, dim, f"{path}.state_coef"),
-            cond_coef=_matrix(data["cond_coef"], steps, dim, f"{path}.cond_coef"),
-            offset=_matrix(data["offset"], steps, dim, f"{path}.offset"),
-            variance=_matrix(data["variance"], steps, dim, f"{path}.variance"),
-            nonlinearity=data.get("nonlinearity", "identity"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _backbone_from_dict(data: dict, dim: int, path: str) -> ARBackboneSpec:
-    try:
-        spec = ARBackboneSpec(
-            prefix=data["prefix"],
-            weight=data["weight"],
-            bias=data["bias"],
-            nonlinearity=data.get("nonlinearity", "identity"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if spec.dim != dim:
-        raise ConfigError(f"{path}: dimension {spec.dim} does not match global d={dim}")
-    return spec
-
-
-def _model_from_dict(data: dict, steps: int, dim: int, path: str) -> Model:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object")
+def _model_from_dict(data, steps: int, dim: int, path: str) -> Model:
+    _checked_object(data, path, ("denoiser", "backbone"), ("denoiser", "backbone"))
     return Model(
-        denoiser=_denoiser_from_dict(data.get("denoiser", {}), steps, dim, f"{path}.denoiser"),
-        backbone=_backbone_from_dict(data.get("backbone", {}), dim, f"{path}.backbone"),
+        denoiser=_spec_from_dict(DenoiserSpec, data["denoiser"], (steps, dim), f"{path}.denoiser"),
+        backbone=_spec_from_dict(ARBackboneSpec, data["backbone"], (dim,), f"{path}.backbone"),
     )
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Parsed model-config document: the two models plus run defaults."""
+    """Parsed model-config document: two models of one ``(steps, dim)`` plus run defaults."""
 
     target: Model
     draft: Model
-    steps: int
-    dim: int
     run_defaults: dict
+
+    def __post_init__(self):
+        shape, draft_shape = (self.steps, self.dim), (self.draft.steps, self.draft.dim)
+        if draft_shape != shape:
+            raise ValueError(f"draft (T, d) {draft_shape} differs from the target's {shape}")
+
+    @property
+    def steps(self) -> int:
+        return self.target.steps
+
+    @property
+    def dim(self) -> int:
+        return self.target.dim
 
     def spec_config(self, **overrides) -> SpecDecodeConfig:
         """Build a run config from the document defaults plus overrides."""
@@ -117,35 +126,29 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 _RUN_KEYS = {"gamma", "length", "rho", "temperature", "max_resample_trials", "seed"}
+# Every key of a model config is required but the last, "run".
+_CONFIG_KEYS = ("schema_version", "T", "d", "target", "draft", "run")
 
 
-def config_from_dict(doc: dict) -> ModelConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected an object")
-    if "config" in doc and "results" in doc:
+def config_from_dict(doc) -> ModelConfig:
+    where, prefix = "top level", ""
+    if isinstance(doc, dict) and "results" in doc:
         # A results file: its echoed config reproduces the run.
-        doc = doc["config"]
-    version = doc.get("schema_version")
+        _checked_object(doc, where, ("schema_version", "config", "results"), ["config"])
+        doc, where, prefix = doc["config"], "config", "config."
+    _checked_object(doc, where, _CONFIG_KEYS, _CONFIG_KEYS[:-1])
+    version = doc["schema_version"]
     if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    for key in ("T", "d", "target", "draft"):
-        if key not in doc:
-            raise ConfigError(f"top level: missing key {key!r}")
-    steps = doc["T"]
-    dim = doc["d"]
-    # type(...) is int also turns away JSON true/false, which are ints to isinstance.
-    if type(steps) is not int or steps < 2:
-        raise ConfigError(f"T: expected an integer >= 2, got {steps!r}")
-    if type(dim) is not int or dim < 1:
-        raise ConfigError(f"d: expected an integer >= 1, got {dim!r}")
-    run = doc.get("run", {})
-    if not isinstance(run, dict) or not set(run) <= _RUN_KEYS:
-        raise ConfigError(f"run: unknown keys {sorted(set(run) - _RUN_KEYS)}")
+        raise ConfigError(f"{prefix}schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    for key, least in (("T", 2), ("d", 1)):
+        # type(...) is int also turns away JSON true/false, which are ints to isinstance.
+        if type(doc[key]) is not int or doc[key] < least:
+            raise ConfigError(f"{prefix}{key}: expected an integer >= {least}, got {doc[key]!r}")
+    steps, dim = doc["T"], doc["d"]
+    run = _checked_object(doc.get("run", {}), f"{prefix}run", _RUN_KEYS, ())
     return ModelConfig(
-        target=_model_from_dict(doc["target"], steps, dim, "target"),
-        draft=_model_from_dict(doc["draft"], steps, dim, "draft"),
-        steps=steps,
-        dim=dim,
+        target=_model_from_dict(doc["target"], steps, dim, f"{prefix}target"),
+        draft=_model_from_dict(doc["draft"], steps, dim, f"{prefix}draft"),
         run_defaults=dict(run),
     )
 

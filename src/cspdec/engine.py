@@ -122,7 +122,7 @@ class SpecDecodeConfig:
                 raise ValueError(f"{name} model has dim {model.dim}, config says {self.dim}")
 
     def with_seed(self, seed: int) -> "SpecDecodeConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 @dataclass

@@ -348,12 +348,13 @@ def distribution_check(
     """
     if runs < 2:
         raise ValueError("need at least 2 runs per side")
+    # Every argument is checked before the first run.
+    crit = ks_critical_value(runs, runs, significance)
+    if reference is not None and reference.shape != (runs, config.length, config.dim):
+        raise ValueError("reference corpus shape does not match the run configuration")
     spec_seeds = [replicate_seed(config.seed, _SPEC_SIDE_TAG, r) for r in range(runs)]
     spec_tok = speculative_token_matrix(target, draft, config, spec_seeds, jobs=jobs)
     ref_tok = reference_tokens(target, config, runs, jobs=jobs) if reference is None else reference
-    if ref_tok.shape != (runs, config.length, config.dim):
-        raise ValueError("reference corpus shape does not match the run configuration")
-    crit = ks_critical_value(runs, runs, significance)
     tests = []
     projection = None
     if config.dim > 1:

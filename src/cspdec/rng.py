@@ -40,6 +40,9 @@ class PositionStreams:
     """
 
     def __init__(self, master_seed: int):
+        # bool passes isinstance(value, int), so it is turned away first.
+        if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
+            raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
         self.master_seed = int(master_seed)
         self._streams: dict[int, np.random.Generator] = {}
 

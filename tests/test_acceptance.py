@@ -352,8 +352,6 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     mc = ModelConfig(
         target=target,
         draft=draft,
-        steps=config.steps,
-        dim=config.dim,
         run_defaults={"gamma": 2, "length": 4, "seed": 11},
     )
     cfg_path = tmp_path / "pinned.json"

@@ -17,6 +17,18 @@ from cspdec.oracle import empirical_acceptance
 from cspdec.rng import PositionStreams
 
 
+class TestPositionStreams:
+    @pytest.mark.parametrize("seed", [3.9, True, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            PositionStreams(seed)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        streams = PositionStreams(np.uint64(3))
+        assert type(streams.master_seed) is int and streams.master_seed == 3
+        assert streams.stream(4).random() == PositionStreams(3).stream(4).random()
+
+
 class TestCondition:
     def test_position_zero_is_the_prefix(self):
         backbone = ARBackboneSpec(prefix=[0.7, -0.2], weight=[1.0, 1.0], bias=[0.0, 0.0])

@@ -1,11 +1,14 @@
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cspdec.cli as cli
+import cspdec.oracle as oracle
+from cspdec.autoregressive import ARBackboneSpec, Model
 from cspdec.cli import main
 from cspdec.configio import (
     ConfigError,
@@ -14,11 +17,14 @@ from cspdec.configio import (
     SWEEP_CSV_HEADER,
     config_from_dict,
     config_to_dict,
+    dump_json,
     load_model_config,
     save_model_config,
 )
 from cspdec.oracle import DistCheckResult, PositionKS
-from cspdec.scenarios import scenario_path, standard_pair
+from cspdec.scenarios import SCENARIOS, scenario_path, standard_pair
+
+from conftest import random_denoiser
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +39,6 @@ def tiny_config_path(tmp_path):
     mc = ModelConfig(
         target=target,
         draft=draft,
-        steps=config.steps,
-        dim=config.dim,
         run_defaults={"gamma": 2, "length": 4, "seed": 7},
     )
     path = tmp_path / "tiny.json"
@@ -68,6 +72,133 @@ class TestConfigIO:
         doc["schema_version"] = 99
         with pytest.raises(ConfigError, match="schema_version"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_shipped_config_round_trips_byte_for_byte(self, name):
+        path = scenario_path(name)
+        assert dump_json(config_to_dict(load_model_config(path))) == path.read_text()
+
+    def test_random_pair_round_trips_field_for_field(self):
+        rng = np.random.default_rng(11)
+
+        def model():
+            denoiser = random_denoiser(rng, steps=5, dim=3, tanh_prob=1.0)
+            backbone = ARBackboneSpec(*rng.uniform(-1.0, 1.0, (3, 3)), nonlinearity="tanh")
+            return Model(denoiser, backbone)
+
+        written = ModelConfig(model(), model(), run_defaults={"gamma": 2, "rho": 0.25})
+        read = config_from_dict(json.loads(dump_json(config_to_dict(written))))
+        assert (read.steps, read.dim) == (5, 3)
+        assert read.run_defaults == written.run_defaults
+        for role in ("target", "draft"):
+            for part in ("denoiser", "backbone"):
+                before = getattr(getattr(written, role), part)
+                after = getattr(getattr(read, role), part)
+                assert before.nonlinearity == after.nonlinearity == "tanh"
+                for f in fields(before):
+                    assert np.array_equal(getattr(before, f.name), getattr(after, f.name))
+
+    def test_scalar_prefix_and_default_nonlinearity_still_load(self, std_config_path):
+        shipped = load_model_config(std_config_path)
+        doc = json.loads(Path(std_config_path).read_text())
+        doc["target"]["backbone"]["prefix"] = doc["target"]["backbone"]["prefix"][0]
+        del doc["draft"]["denoiser"]["nonlinearity"]
+        loaded = config_from_dict(doc)
+        assert np.array_equal(loaded.target.backbone.prefix, shipped.target.backbone.prefix)
+        assert loaded.draft.denoiser.nonlinearity == "identity"
+
+    def test_model_config_takes_its_shape_from_the_target(self, std_pair):
+        target, draft, _ = std_pair
+        assert [f.name for f in fields(ModelConfig)] == ["target", "draft", "run_defaults"]
+        config = ModelConfig(target, draft, run_defaults={})
+        assert (config.steps, config.dim) == (target.steps, target.dim) == (3, 1)
+        longer = Model(random_denoiser(np.random.default_rng(2), 5, 1), draft.backbone)
+        with pytest.raises(ValueError, match=r"draft \(T, d\) \(5, 1\) differs"):
+            ModelConfig(target, longer, run_defaults={})
+
+
+def _set(*keys, value):
+    """A document edit: set ``doc[k0][k1]...`` to ``value``."""
+
+    def edit(doc):
+        *parents, last = keys
+        obj = doc
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+        return doc
+
+    return edit
+
+
+def _results_file(**extra):
+    """A document edit: wrap the config as a results file's echo."""
+    return lambda doc: {"schema_version": 1, "config": doc, "results": [], **extra}
+
+
+class TestMalformedDocuments:
+    """Every JSON object level is checked alike: a malformed document exits 2
+    with ``error:`` and the offending path leading the message."""
+
+    CASES = {
+        "top-level-misspelt-key": (_set("Tee", value=3), "top level: unknown keys ['Tee']"),
+        "top-level-missing-schema": (
+            lambda doc: {k: v for k, v in doc.items() if k != "schema_version"},
+            "top level: missing key 'schema_version'",
+        ),
+        "results-misspelt-key": (
+            _results_file(reslts=[]), "top level: unknown keys ['reslts']"
+        ),
+        "results-config-not-object": (
+            lambda doc: {"config": 5, "results": []}, "config: expected an object, got int"
+        ),
+        "results-config-misspelt-key": (
+            lambda doc: _results_file()({**doc, "dd": 1}), "config: unknown keys ['dd']"
+        ),
+        "run-not-object": (_set("run", value=5), "run: expected an object, got int"),
+        "run-misspelt-key": (_set("run", "gama", value=2), "run: unknown keys ['gama']"),
+        "target-misspelt-key": (
+            _set("target", "denoser", value={}), "target: unknown keys ['denoser']"
+        ),
+        "target-missing-denoiser": (_set("target", value={}), "target: missing key 'denoiser'"),
+        "draft-misspelt-key": (
+            _set("draft", "backbon", value={}), "draft: unknown keys ['backbon']"
+        ),
+        "denoiser-misspelt-key": (
+            _set("target", "denoiser", "nonlinarity", value="tanh"),
+            "target.denoiser: unknown keys ['nonlinarity']",
+        ),
+        "denoiser-not-object": (
+            _set("target", "denoiser", value=[1, 2]),
+            "target.denoiser: expected an object, got list",
+        ),
+        "denoiser-wrong-shape": (
+            _set("target", "denoiser", "state_coef", value=[[0.5]] * 5),
+            "target.denoiser.state_coef: expected shape (3, 1), got (5, 1)",
+        ),
+        "backbone-misspelt-key": (
+            _set("draft", "backbone", "prefx", value=[0.0]),
+            "draft.backbone: unknown keys ['prefx']",
+        ),
+        "backbone-not-object": (
+            _set("draft", "backbone", value="x"), "draft.backbone: expected an object, got str"
+        ),
+        "backbone-wrong-dim": (
+            _set("draft", "backbone", "bias", value=[0.1, 0.2]),
+            "draft.backbone.bias: expected shape (1,), got (2,)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_path(self, case, std_config_path, tmp_path, capsys):
+        edit, message = self.CASES[case]
+        doc = edit(json.loads(Path(std_config_path).read_text()))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
 
 class TestFormulaCommand:
@@ -192,13 +323,11 @@ class TestGenerateCommand:
         origins = doc["results"][0]["origins"]
         assert origins == ["prefilled"] * 4
 
-    def test_steps_assertion_mismatch_exits_2(self, tiny_config_path, tmp_path):
-        assert main(
-            [
-                "generate", "--config", tiny_config_path, "--steps", "5",
-                "--out", str(tmp_path / "x.json"),
-            ]
-        ) == 2
+    @pytest.mark.parametrize("flag", ["--steps", "--dim"])
+    def test_model_shape_is_not_a_flag(self, flag, tiny_config_path, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--config", tiny_config_path, flag, "3", "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(
@@ -365,11 +494,23 @@ class TestCheckDistCommand:
             ["check-dist", "--config", tiny_config_path, "--replicates", "100"]
         ) == 2
 
+    def test_significance_outside_unit_interval_exits_2_before_any_run(
+        self, tiny_config_path, monkeypatch, capsys
+    ):
+        runs = []
+        monkeypatch.setattr(oracle, "speculative_token_matrix", lambda *a, **k: runs.append(a))
+        assert main(
+            ["check-dist", "--config", tiny_config_path, "--replicates", "1000",
+             "--significance", "1.5"]
+        ) == 2
+        assert "error: significance must lie in (0, 1)" in capsys.readouterr().err
+        assert runs == []
+
     def test_passes_on_identity_and_prints_per_position(self, tmp_path, capsys):
         # draft == target passes trivially
         target, _, config = standard_pair()
         mc = ModelConfig(
-            target=target, draft=target, steps=config.steps, dim=config.dim,
+            target=target, draft=target,
             run_defaults={"gamma": 2, "length": 3, "seed": 1},
         )
         path = tmp_path / "same.json"
@@ -385,7 +526,7 @@ class TestCheckDistCommand:
     def test_deterministic_stdout(self, tmp_path, capsys):
         target, draft, config = standard_pair()
         mc = ModelConfig(
-            target=target, draft=draft, steps=config.steps, dim=config.dim,
+            target=target, draft=draft,
             run_defaults={"gamma": 2, "length": 3, "seed": 4},
         )
         path = tmp_path / "std.json"

@@ -97,6 +97,15 @@ class TestSpecDecodeConfig:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SpecDecodeConfig(**{**self.BASE, "seed": -1})
 
+    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    def test_with_seed_rejects_a_non_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SpecDecodeConfig(**self.BASE).with_seed(seed)
+
+    def test_with_seed_keeps_a_numpy_integer_as_int(self):
+        config = SpecDecodeConfig(**self.BASE).with_seed(np.uint64(7))
+        assert type(config.seed) is int and config.seed == 7
+
 
 class TestAcceptanceLogRatio:
     def test_identical_models_cancel_exactly(self, std_pair):

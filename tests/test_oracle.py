@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import cspdec.oracle as oracle
 from cspdec.diffusion import draw_noise_record, run_chain
 from cspdec.engine import RunStats, acceptance_log_ratio
 from cspdec.oracle import (
@@ -258,6 +259,29 @@ class TestEmpiricalAcceptance:
         assert summary.position_rate(0) == 0.5
         assert summary.position_rate(1) == 0.5
         assert summary.proposed == 4
+
+
+class TestDistributionCheckArguments:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"significance": 1.5}, "significance must lie in"),
+            ({"reference": np.zeros((100, 1, 1))}, "reference corpus shape"),
+        ],
+    )
+    def test_checked_before_any_run(self, kwargs, message, std_pair, monkeypatch):
+        target, draft, config = std_pair
+        runs = []
+
+        def corpus(*args, **kw):
+            runs.append(args)
+            return np.zeros((100, config.length, config.dim))
+
+        monkeypatch.setattr(oracle, "speculative_token_matrix", corpus)
+        monkeypatch.setattr(oracle, "baseline_token_matrix", corpus)
+        with pytest.raises(ValueError, match=message):
+            oracle.distribution_check(target, draft, config, runs=100, jobs=1, **kwargs)
+        assert runs == []
 
 
 # Runs in a fresh interpreter, because this one has already loaded scipy.
