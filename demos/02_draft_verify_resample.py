@@ -21,9 +21,7 @@ while state.remaining:
     before = len(state)
     rows = len(stats.proposal_log_ratios)
     resamples = len(stats.resample_trials)
-    state = speculative_step(
-        target, draft, state, config.gamma, config.temperature, streams, stats
-    )
+    state = speculative_step(target, draft, state, config, streams, stats)
     accepted = stats.step_accepted[-1]
     log_ratios = stats.proposal_log_ratios[rows:]
     uniforms = stats.proposal_uniforms[rows:]

@@ -20,8 +20,8 @@ REPLICATES = 300
 target, draft, config = standard_pair()
 print("acceptance vs draft length (standard pair, length 40):")
 result = sweep(
-    target, draft, replace(config, length=40), "gamma", [4, 8, 16, 32],
-    replicates=REPLICATES, master_seed=1, jobs=2,
+    target, draft, replace(config, length=40, seed=1), "gamma", [4, 8, 16, 32],
+    replicates=REPLICATES, jobs=2,
 )
 for pt in result.points:
     print(
@@ -33,8 +33,8 @@ for pt in result.points:
 print("\npre-filling on the prefix-divergent pair:")
 p_target, p_draft, p_config = prefix_divergent_pair()
 result = sweep(
-    p_target, p_draft, p_config, "prefill", [0.0, 0.05, 0.15],
-    replicates=REPLICATES, master_seed=2, jobs=2,
+    p_target, p_draft, replace(p_config, seed=2), "prefill", [0.0, 0.05, 0.15],
+    replicates=REPLICATES, jobs=2,
 )
 for pt in result.points:
     early = [pt.per_position_alpha.get(i) for i in range(3)]

@@ -9,6 +9,7 @@ draft chain step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -32,10 +33,12 @@ def expected_speedup(alpha: float, gamma: int, cost_ratio: float) -> float:
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, np.integer)):
+        raise ValueError(f"gamma must be an integer, got {gamma!r}")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    if cost_ratio < 0.0:
-        raise ValueError("cost_ratio must be nonnegative")
+    if not 0.0 <= cost_ratio < math.inf:
+        raise ValueError("cost_ratio must be nonnegative and finite")
     return (1.0 - alpha ** (gamma + 1)) / ((1.0 - alpha) * (gamma * cost_ratio + 1.0))
 
 
@@ -126,7 +129,6 @@ def sweep(
     axis: str,
     values: Iterable[float],
     replicates: int,
-    master_seed: int,
     jobs: int | None = None,
 ) -> SweepResult:
     """Run ``replicates`` generations at each value of one :data:`SWEEP_AXES` axis.
@@ -134,7 +136,7 @@ def sweep(
     Each value goes to its config field as given, and every point's config
     is built before the first run, so :class:`SpecDecodeConfig` rejects a bad
     value (a gamma of 2.5, say) before any work is done.  Point ``index``
-    uses the seeds ``replicate_seed(master_seed, tag * 1000 + index, r)``.
+    uses the seeds ``replicate_seed(config.seed, tag * 1000 + index, r)``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
@@ -144,9 +146,7 @@ def sweep(
     configs = [replace(config, **{name: v}) for v in values]
     points = []
     for index, point_config in enumerate(configs):
-        seeds = [
-            replicate_seed(master_seed, tag * 1000 + index, r) for r in range(replicates)
-        ]
+        seeds = [replicate_seed(config.seed, tag * 1000 + index, r) for r in range(replicates)]
         stats_list = run_replicates(target, draft, point_config, seeds, jobs=jobs)
         points.append(_aggregate(float(getattr(point_config, name)), stats_list))
-    return SweepResult(axis=axis, replicates=replicates, seed=master_seed, points=tuple(points))
+    return SweepResult(axis=axis, replicates=replicates, seed=config.seed, points=tuple(points))

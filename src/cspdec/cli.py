@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .bench import SWEEP_AXES, expected_speedup, sweep
 from .configio import (
+    RUN_KEYS,
     ConfigError,
     dump_json,
     load_model_config,
@@ -44,12 +45,15 @@ _GENERATE_TAG = 17
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="model-config JSON path")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-    parser.add_argument("--gamma", type=int, default=None, help="draft length")
-    parser.add_argument("--len", dest="length", type=int, default=None, help="sequence length")
-    parser.add_argument("--rho", type=float, default=None, help="pre-fill ratio in [0, 1]")
-    parser.add_argument("--temp", type=float, default=None, help="sampling temperature")
-    parser.add_argument("--max-trials", type=int, default=None, help="resampling trial cap")
+    # Each run flag's dest is the RUN_KEYS entry it overrides.
+    parser.add_argument("--seed", type=int, help="master seed (u64)")
+    parser.add_argument("--gamma", type=int, help="draft length")
+    parser.add_argument("--len", dest="length", type=int, help="sequence length")
+    parser.add_argument("--rho", type=float, help="pre-fill ratio in [0, 1]")
+    parser.add_argument("--temp", dest="temperature", type=float, help="sampling temperature")
+    parser.add_argument(
+        "--max-trials", dest="max_resample_trials", type=int, help="resampling trial cap"
+    )
     parser.add_argument("--replicates", type=int, default=1, help="independent runs")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
 
@@ -86,24 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args) -> tuple:
     model_config = load_model_config(args.config)
-    run_config = model_config.spec_config(
-        gamma=args.gamma,
-        length=args.length,
-        rho=args.rho,
-        temperature=args.temp,
-        max_resample_trials=args.max_trials,
-        seed=args.seed,
-    )
-    return model_config, run_config
+    return model_config, model_config.spec_config(**{k: getattr(args, k) for k in RUN_KEYS})
 
 
 def _cmd_generate(args) -> int:
     model_config, run_config = _resolve(args)
     if args.replicates < 1:
         raise ConfigError("--replicates must be >= 1")
-    seeds = [
-        replicate_seed(run_config.seed, _GENERATE_TAG, r) for r in range(args.replicates)
-    ]
+    seeds = [replicate_seed(run_config.seed, _GENERATE_TAG, r) for r in range(args.replicates)]
     stats = run_replicates(
         model_config.target, model_config.draft, run_config, seeds, jobs=args.jobs
     )
@@ -155,7 +149,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"axis values for {args.kind}: {exc}") from exc
     result = sweep(
         model_config.target, model_config.draft, run_config, args.kind, values,
-        args.replicates, run_config.seed, args.jobs,
+        args.replicates, args.jobs,
     )
     if args.format == "csv":
         payload = sweep_to_csv(result)

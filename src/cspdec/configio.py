@@ -47,6 +47,10 @@ def _array(value, shape: tuple[int, ...], path: str) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # asarray reads "0.1" and true as numbers too, so each leaf is looked at.
+    for leaf in np.asarray(value, dtype=object).flat:
+        if isinstance(leaf, (bool, str)):
+            raise ConfigError(f"{path}: expected numbers, got {leaf!r}")
     if arr.ndim == 0:
         arr = arr.reshape(1)  # a scalar is a one-element vector, as ``as_vector`` reads it
     if arr.shape != shape:
@@ -96,6 +100,7 @@ class ModelConfig:
         shape, draft_shape = (self.steps, self.dim), (self.draft.steps, self.draft.dim)
         if draft_shape != shape:
             raise ValueError(f"draft (T, d) {draft_shape} differs from the target's {shape}")
+        self.spec_config()  # the run defaults alone must make a valid run
 
     @property
     def steps(self) -> int:
@@ -125,7 +130,8 @@ def config_to_dict(config: ModelConfig) -> dict:
     return doc
 
 
-_RUN_KEYS = {"gamma", "length", "rho", "temperature", "max_resample_trials", "seed"}
+# The run parameters a document's "run" block, a results echo and a CLI flag may set.
+RUN_KEYS = ("gamma", "length", "rho", "temperature", "max_resample_trials", "seed")
 # Every key of a model config is required but the last, "run".
 _CONFIG_KEYS = ("schema_version", "T", "d", "target", "draft", "run")
 
@@ -145,12 +151,14 @@ def config_from_dict(doc) -> ModelConfig:
         if type(doc[key]) is not int or doc[key] < least:
             raise ConfigError(f"{prefix}{key}: expected an integer >= {least}, got {doc[key]!r}")
     steps, dim = doc["T"], doc["d"]
-    run = _checked_object(doc.get("run", {}), f"{prefix}run", _RUN_KEYS, ())
-    return ModelConfig(
-        target=_model_from_dict(doc["target"], steps, dim, f"{prefix}target"),
-        draft=_model_from_dict(doc["draft"], steps, dim, f"{prefix}draft"),
-        run_defaults=dict(run),
-    )
+    run = _checked_object(doc.get("run", {}), f"{prefix}run", RUN_KEYS, ())
+    target = _model_from_dict(doc["target"], steps, dim, f"{prefix}target")
+    draft = _model_from_dict(doc["draft"], steps, dim, f"{prefix}draft")
+    try:
+        return ModelConfig(target, draft, run_defaults=dict(run))
+    except ValueError as exc:
+        # The models share (T, d) here, so only a run value can fail.
+        raise ConfigError(f"{prefix}run: {exc}") from exc
 
 
 def load_model_config(path: str | Path) -> ModelConfig:
@@ -177,7 +185,7 @@ def results_to_dict(
     model_config: ModelConfig, run_config: SpecDecodeConfig, stats_list: list[RunStats]
 ) -> dict:
     echo = config_to_dict(model_config)
-    echo["run"] = {key: getattr(run_config, key) for key in sorted(_RUN_KEYS)}
+    echo["run"] = {key: getattr(run_config, key) for key in RUN_KEYS}
     return {
         "schema_version": SCHEMA_VERSION,
         "config": echo,

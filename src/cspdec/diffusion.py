@@ -74,7 +74,13 @@ class ChainPlan:
 
     @classmethod
     def build(cls, spec: "DenoiserSpec", temperature: float) -> "ChainPlan":
-        variances = (float(temperature) ** 2) * spec.variance
+        try:
+            variances = (float(temperature) ** 2) * spec.variance
+        except OverflowError:  # float ** 2 raises where numpy would give inf
+            variances = np.full_like(spec.variance, np.inf)
+        # A variance that underflows to 0 makes the tail term NaN, which accepts every draft.
+        if not (np.isfinite(variances).all() and variances.min() > 0.0):
+            raise ValueError(f"temperature {temperature!r} takes a step variance to 0 or inf")
         scales = np.sqrt(variances)
         last_log_norm, last_two_var = diag_variance_terms(variances[-1])
         # Freeze before taking the row views, which inherit the flag.

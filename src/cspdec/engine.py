@@ -109,8 +109,8 @@ class SpecDecodeConfig:
             raise ValueError("length must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.max_resample_trials < 1:
             raise ValueError("max_resample_trials must be >= 1")
 
@@ -257,27 +257,25 @@ def speculative_step(
     target: Model,
     draft: Model,
     state: SequenceState,
-    gamma: int,
-    temperature: float,
+    config: SpecDecodeConfig,
     streams: PositionStreams,
     stats: RunStats,
-    max_resample_trials: int = 10_000,
-    aligned: bool = True,
 ) -> SequenceState:
     """One draft/verify/resample round, appending tokens to ``state``.
 
-    Drafts ``min(gamma, room)`` tokens autoregressively from the draft model,
-    verifies each along the shared noise record (or an independent one when
-    ``aligned`` is off), appends the accepted prefix, then either patches the
-    first rejection with a residual-distribution sample or, on full
+    Drafts ``min(config.gamma, room)`` tokens autoregressively from the draft
+    model, verifies each along the shared noise record (or an independent one
+    when ``config.aligned`` is off), appends the accepted prefix, then either
+    patches the first rejection with a residual-distribution sample or, on full
     acceptance, appends one bonus token from the target at the next position.
     The step's proposals, acceptance count, resample trials and chain calls
     are recorded into ``stats``.
     """
     if state.remaining < 1:
         raise ValueError("sequence is already at capacity")
+    temperature = config.temperature
     base = len(state)
-    n_draft = min(gamma, state.remaining)
+    n_draft = min(config.gamma, state.remaining)
 
     # Draft phase: propose autoregressively, conditioning on earlier drafts.
     # Draft i sits at position base + i and is the pair (cond_q, traj_q).
@@ -295,7 +293,7 @@ def speculative_step(
         cond_p = condition(target.backbone, context, pos)
         noise = (
             traj_q.noise
-            if aligned
+            if config.aligned
             else draw_noise_record(target.steps, target.dim, streams.stream(pos))
         )
         lr, _ = acceptance_log_ratio(traj_q, target.denoiser, cond_p, noise, temperature)
@@ -319,7 +317,7 @@ def speculative_step(
             drafts[n][0],
             temperature,
             streams.stream(pos),
-            max_trials=max_resample_trials,
+            max_trials=config.max_resample_trials,
             position=pos,
         )
         state.append(token, RESAMPLED)
@@ -360,17 +358,7 @@ def generate(
     state = prefill(target, config.length, config.rho, streams, config.temperature)
     stats.target_chain_calls += len(state)
     while len(state) < config.length:
-        speculative_step(
-            target,
-            draft,
-            state,
-            config.gamma,
-            config.temperature,
-            streams,
-            stats,
-            max_resample_trials=config.max_resample_trials,
-            aligned=config.aligned,
-        )
+        speculative_step(target, draft, state, config, streams, stats)
     stats.origins = list(state.origins)
     stats.tokens = state.tokens_array().tolist()
     return state, stats

@@ -24,7 +24,9 @@ def default_jobs() -> int:
 
 def _map_chunks(fn, target, draft, config, seeds: list[int], jobs: int | None) -> list:
     """``fn`` over seed chunks, in seed order: serial for one job or few seeds."""
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    jobs = default_jobs() if jobs is None else jobs
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(seeds) < 2 * jobs:
         return [fn((target, draft, config, seeds))]
     chunk = (len(seeds) + 4 * jobs - 1) // (4 * jobs)

@@ -271,11 +271,10 @@ def test_criterion_7_gamma_decay(pinned):
     result = sweep(
         target,
         draft,
-        replace(config, length=40),
+        replace(config, length=40, seed=700),
         "gamma",
         [4, 8, 16, 32],
         replicates=1000,
-        master_seed=700,
         jobs=JOBS,
     )
     means = [pt.mean_alpha for pt in result.points]

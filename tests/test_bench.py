@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cspdec.bench as bench
+import cspdec.parallel as parallel
 from cspdec.autoregressive import RESAMPLED
 from cspdec.bench import expected_speedup, simulated_speedup, sweep, tokens_per_step
 from cspdec.configio import sweep_to_csv
@@ -37,6 +39,22 @@ class TestExpectedSpeedup:
         with pytest.raises(ValueError):
             expected_speedup(-0.1, 4, 0.5)
 
+    @pytest.mark.parametrize(
+        "gamma, c, message",
+        [
+            (2.5, 0.1, "gamma must be an integer, got 2.5"),
+            (True, 0.1, "gamma must be an integer, got True"),
+            (2, math.nan, "cost_ratio"),
+            (2, math.inf, "cost_ratio"),
+        ],
+    )
+    def test_non_integer_gamma_or_non_finite_cost_rejected(self, gamma, c, message):
+        with pytest.raises(ValueError, match=message):
+            expected_speedup(0.5, gamma, c)
+
+    def test_numpy_integer_gamma_accepted(self):
+        assert expected_speedup(0.5, np.int64(1), 0.0) == pytest.approx(1.5, abs=1e-12)
+
     def test_monotone_increasing_in_alpha(self):
         for gamma, c in [(1, 0.0), (4, 0.3), (16, 0.1)]:
             grid = np.linspace(0.0, 0.99, 100)
@@ -53,9 +71,9 @@ def small_stationary():
 class TestSweeps:
     def test_gamma_sweep_row_accounting_and_determinism(self, small_stationary):
         target, draft, config = small_stationary
-        kwargs = dict(replicates=3, master_seed=11, jobs=1)
-        one = sweep(target, draft, config, "gamma", [1, 2, 4], **kwargs)
-        two = sweep(target, draft, config, "gamma", [1, 2, 4], **kwargs)
+        kwargs = dict(replicates=3, jobs=1)
+        one = sweep(target, draft, replace(config, seed=11), "gamma", [1, 2, 4], **kwargs)
+        two = sweep(target, draft, replace(config, seed=11), "gamma", [1, 2, 4], **kwargs)
         assert len(one.points) == 3
         assert sweep_to_csv(one) == sweep_to_csv(two)
         assert [pt.axis_value for pt in one.points] == [1.0, 2.0, 4.0]
@@ -63,14 +81,14 @@ class TestSweeps:
     def test_identical_models_accept_at_every_gamma(self, small_stationary):
         target, _, config = small_stationary
         result = sweep(
-            target, target, config, "gamma", [1, 3], replicates=2, master_seed=0, jobs=1
+            target, target, replace(config, seed=0), "gamma", [1, 3], replicates=2, jobs=1
         )
         assert all(pt.mean_alpha == 1.0 for pt in result.points)
 
     def test_full_prefill_reports_absent_alpha(self, small_stationary):
         target, draft, config = small_stationary
         result = sweep(
-            target, draft, config, "prefill", [1.0], replicates=2, master_seed=3, jobs=1
+            target, draft, replace(config, seed=3), "prefill", [1.0], replicates=2, jobs=1
         )
         assert result.points[0].mean_alpha is None
         row = sweep_to_csv(result).splitlines()[1]
@@ -79,37 +97,37 @@ class TestSweeps:
     def test_identical_models_accept_at_every_temperature(self, small_stationary):
         target, _, config = small_stationary
         result = sweep(
-            target, target, config, "temperature", [0.7, 1.0, 1.3],
-            replicates=2, master_seed=5, jobs=1,
+            target, target, replace(config, seed=5), "temperature", [0.7, 1.0, 1.3],
+            replicates=2, jobs=1,
         )
         assert all(pt.mean_alpha == 1.0 for pt in result.points)
 
     def test_temperature_rejected_when_nonpositive(self, small_stationary):
         target, draft, config = small_stationary
         with pytest.raises(ValueError):
-            sweep(target, draft, config, "temperature", [0.0], 1, 0)
+            sweep(target, draft, replace(config, seed=0), "temperature", [0.0], 1)
 
     def test_unknown_axis_rejected(self, small_stationary):
         target, draft, config = small_stationary
         with pytest.raises(ValueError, match="unknown sweep axis 'trials'"):
-            sweep(target, draft, config, "trials", [1], 1, 0)
+            sweep(target, draft, replace(config, seed=0), "trials", [1], 1)
 
     def test_every_point_is_checked_before_any_run(self, small_stationary, monkeypatch):
         target, draft, config = small_stationary
         runs = []
         monkeypatch.setattr(bench, "run_replicates", lambda *args, **kw: runs.append(args))
         with pytest.raises(ValueError, match="rho must lie in"):
-            sweep(target, draft, config, "prefill", [0.0, 1.5], 1, 0)
+            sweep(target, draft, replace(config, seed=0), "prefill", [0.0, 1.5], 1)
         # A gamma is taken as given, never truncated to an integer.
         for bad in (2.5, 2.0, True):
             with pytest.raises(ValueError, match="gamma must be an integer"):
-                sweep(target, draft, config, "gamma", [1, bad], 1, 0)
+                sweep(target, draft, replace(config, seed=0), "gamma", [1, bad], 1)
         assert runs == []
 
     def test_axis_values_take_the_field_type(self, small_stationary):
         # An int rho in the base config must not make the sweep truncate 0.5.
         target, draft, config = small_stationary
-        result = sweep(target, draft, replace(config, rho=0), "prefill", [0.5], 1, 0)
+        result = sweep(target, draft, replace(config, rho=0, seed=0), "prefill", [0.5], 1)
         assert result.points[0].axis_value == 0.5
         assert result.points[0].stats[0].config["rho"] == 0.5
 
@@ -119,11 +137,23 @@ class TestSweeps:
 
         target, draft, config = standard_pair()
         result = sweep(
-            target, draft, config, "temperature", [0.7, 1.0, 1.3],
-            replicates=300, master_seed=5, jobs=2,
+            target, draft, replace(config, seed=5), "temperature", [0.7, 1.0, 1.3],
+            replicates=300, jobs=2,
         )
         alphas = [pt.mean_alpha for pt in result.points]
         assert max(alphas) - min(alphas) > 0.02
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_job_count_below_one_rejected_before_any_run(self, jobs, monkeypatch):
+        target, draft = decoupled_pair(0.0, 1.0, 8.0, 1.0)
+        config = SpecDecodeConfig(gamma=1, steps=2, dim=1, length=4, seed=0)
+        runs = []
+        monkeypatch.setattr(parallel, "generate", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_replicates(target, draft, config, [1, 2, 3], jobs=jobs)
+        assert runs == []
 
 
 class TestTrialsHistogram:

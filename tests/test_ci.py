@@ -1,0 +1,22 @@
+"""The CI workflow runs the Tier-1 command that ROADMAP.md names."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_workflow_runs_the_roadmap_tier1_command():
+    # The CI image installs only the test dependencies, not PyYAML.
+    yaml = pytest.importorskip("yaml")
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", roadmap, re.M)
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
+    # YAML 1.1 reads the bare key "on" as True.
+    assert set(workflow[True]) == {"push", "pull_request"}
+    steps = workflow["jobs"]["tier1"]["steps"]
+    assert steps[1]["with"]["python-version"] == "3.11"
+    assert steps[2]["run"].split()[-4:] == ["numpy", "scipy", "pytest", "hypothesis"]
+    assert steps[-1]["run"] == command.group(1)

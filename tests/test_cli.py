@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from dataclasses import fields
@@ -11,6 +12,7 @@ import cspdec.oracle as oracle
 from cspdec.autoregressive import ARBackboneSpec, Model
 from cspdec.cli import main
 from cspdec.configio import (
+    RUN_KEYS,
     ConfigError,
     ModelConfig,
     RESULT_CSV_HEADER,
@@ -21,6 +23,7 @@ from cspdec.configio import (
     load_model_config,
     save_model_config,
 )
+from cspdec.engine import SpecDecodeConfig
 from cspdec.oracle import DistCheckResult, PositionKS
 from cspdec.scenarios import SCENARIOS, scenario_path, standard_pair
 
@@ -116,6 +119,22 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=r"draft \(T, d\) \(5, 1\) differs"):
             ModelConfig(target, longer, run_defaults={})
 
+    def test_model_config_rejects_a_run_block_that_fails(self, std_pair):
+        target, draft, _ = std_pair
+        with pytest.raises(ValueError, match="gamma must be an integer, got 'x'"):
+            ModelConfig(target, draft, run_defaults={"gamma": "x"})
+
+    def test_run_keys_are_run_config_fields_and_one_flag_each(self):
+        names = {f.name for f in fields(SpecDecodeConfig)}
+        assert set(RUN_KEYS) <= names and len(set(RUN_KEYS)) == len(RUN_KEYS)
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command in ("generate", "check-dist", "sweep"):
+            dests = [a.dest for a in subparsers.choices[command]._actions]
+            for key in RUN_KEYS:
+                assert dests.count(key) == 1, (command, key)
+
 
 def _set(*keys, value):
     """A document edit: set ``doc[k0][k1]...`` to ``value``."""
@@ -187,6 +206,25 @@ class TestMalformedDocuments:
             _set("draft", "backbone", "bias", value=[0.1, 0.2]),
             "draft.backbone.bias: expected shape (1,), got (2,)",
         ),
+        "denoiser-numeric-strings": (
+            _set("target", "denoiser", "offset", value=[["0.1"], [True], ["1e0"]]),
+            "target.denoiser.offset: expected numbers, got '0.1'",
+        ),
+        "denoiser-json-boolean": (
+            _set("target", "denoiser", "offset", value=[[0.1], [True], [1.0]]),
+            "target.denoiser.offset: expected numbers, got True",
+        ),
+        "backbone-numeric-string": (
+            _set("draft", "backbone", "bias", value="0.18"),
+            "draft.backbone.bias: expected numbers, got '0.18'",
+        ),
+        "run-mistyped-value": (
+            _set("run", "gamma", value="x"), "run: gamma must be an integer, got 'x'"
+        ),
+        "results-run-mistyped-value": (
+            lambda doc: _results_file()(_set("run", "rho", value=2.0)(doc)),
+            "config.run: rho must lie in [0, 1]",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -220,7 +258,12 @@ class TestFormulaCommand:
 
     @pytest.mark.parametrize(
         "args, message",
-        [(["0.5", "0", "0.5"], "gamma must be >= 1"), (["0.5", "1", "-1"], "cost_ratio")],
+        [
+            (["0.5", "0", "0.5"], "gamma must be >= 1"),
+            (["0.5", "1", "-1"], "cost_ratio"),
+            (["0.5", "1", "nan"], "cost_ratio"),
+            (["0.5", "1", "inf"], "cost_ratio"),
+        ],
     )
     def test_out_of_range_gamma_or_cost_exits_2(self, args, message, capsys):
         assert main(["formula"] + args) == 2
@@ -250,7 +293,7 @@ class TestConfigTypes:
         doc = json.loads(Path(std_config_path).read_text())
         doc["run"][key] = value
         assert self._generate(doc, tmp_path) == 2
-        assert f"error: {key} must be" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}/cfg.json: run: {key} must be")
 
     def test_negative_seed_exits_2(self, std_config_path, tmp_path, capsys):
         out = str(tmp_path / "x.json")
@@ -328,6 +371,25 @@ class TestGenerateCommand:
         out = tmp_path / "x.json"
         assert main(["generate", "--config", tiny_config_path, flag, "3", "--out", str(out)]) == 2
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--temp", "1e-170", "takes a step variance to 0 or inf"),
+            ("--temp", "1e200", "takes a step variance to 0 or inf"),
+            ("--temp", "inf", "temperature must be positive and finite"),
+            ("--jobs", "0", "jobs must be >= 1, got 0"),
+            ("--jobs", "-3", "jobs must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_temperature_or_jobs_exits_2_before_writing(
+        self, flag, value, message, std_config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "x.json"
+        args = ["generate", "--config", std_config_path, "--replicates", "20", "--seed", "7"]
+        assert main(args + [flag, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(

@@ -232,6 +232,12 @@ class TestChainPlan:
                 call()
         assert built == []
 
+    @pytest.mark.parametrize("tau", [1e-170, 1e200, math.inf])
+    def test_temperature_taking_a_variance_to_0_or_inf_rejected(self, tau):
+        spec = random_denoiser(np.random.default_rng(6), 3, 1)
+        with pytest.raises(ValueError, match="takes a step variance to 0 or inf"):
+            spec.plan(tau)
+
     def test_plans_stay_out_of_fields_and_pickles(self):
         rng = np.random.default_rng(9)
         spec = random_denoiser(rng, 5, 3)

@@ -283,12 +283,12 @@ class TestRejectionResample:
 
 class TestSpeculativeStep:
     def test_identical_models_accept_all_and_append_bonus(self, std_pair):
-        target, _, _ = std_pair
+        target, _, config = std_pair
         state = SequenceState(capacity=10)
         stats = RunStats()
         state = speculative_step(
-            target, target, state, gamma=3, temperature=1.0, streams=PositionStreams(5),
-            stats=stats,
+            target, target, state, replace(config, gamma=3, temperature=1.0),
+            streams=PositionStreams(5), stats=stats,
         )
         assert stats.step_accepted[-1] == 3
         assert len(state) == 4
@@ -299,9 +299,9 @@ class TestSpeculativeStep:
         target_model, draft_model = decoupled_pair(8.0, 1e-10, 0.0, 1.0)
         state = SequenceState(capacity=10)
         stats = RunStats()
+        config = SpecDecodeConfig(gamma=3, steps=target_model.steps, dim=1, length=10)
         state = speculative_step(
-            target_model, draft_model, state, gamma=3, temperature=1.0,
-            streams=PositionStreams(7), stats=stats,
+            target_model, draft_model, state, config, streams=PositionStreams(7), stats=stats
         )
         assert stats.step_accepted[-1] == 0
         assert len(stats.resample_trials) == 1
@@ -314,7 +314,7 @@ class TestSpeculativeStep:
         state = SequenceState(capacity=config.length)
         stats = RunStats()
         state = speculative_step(
-            target, draft, state, config.gamma, 1.0, streams, stats
+            target, draft, state, replace(config, temperature=1.0), streams, stats
         )
         n = stats.step_accepted[-1]
         # replay the draft chains from the same per-position streams
@@ -335,9 +335,9 @@ class TestSpeculativeStep:
     def test_full_acceptance_bonus_token_replays_through_sample_token(self, std_pair):
         # Identical models accept every draft; the bonus token is the target's
         # sample_token at the next position, on that position's stream.
-        target, _, _ = std_pair
+        target, _, config = std_pair
         state = speculative_step(
-            target, target, SequenceState(capacity=10), gamma=3, temperature=0.9,
+            target, target, SequenceState(capacity=10), replace(config, gamma=3, temperature=0.9),
             streams=PositionStreams(13), stats=RunStats(),
         )
         assert state.origins == [DRAFT_ACCEPTED] * 3 + [TARGET_FALLTHROUGH]
@@ -347,11 +347,13 @@ class TestSpeculativeStep:
             assert np.array_equal(traj.token, token)
 
     def test_capacity_pre_condition(self, std_pair):
-        target, draft, _ = std_pair
+        target, draft, config = std_pair
         state = SequenceState(capacity=1)
         state.append(np.array([0.0]), TARGET_FALLTHROUGH)
         with pytest.raises(ValueError):
-            speculative_step(target, draft, state, 2, 1.0, PositionStreams(0), RunStats())
+            speculative_step(
+                target, draft, state, replace(config, gamma=2), PositionStreams(0), RunStats()
+            )
 
 
 class TestGenerate:
@@ -363,6 +365,16 @@ class TestGenerate:
         assert np.array_equal(state.tokens_array(), reference.tokens_array())
         assert all(origin == "prefilled" for origin in state.origins)
         assert stats.step_accepted == []
+
+    def test_underflowing_temperature_raises_before_any_token(self, std_pair, monkeypatch):
+        # 1e-170 squared is 0: every step variance would be 0, every tail term
+        # NaN, and verify_drafts would accept every draft.
+        target, draft, config = std_pair
+        appended = []
+        monkeypatch.setattr(SequenceState, "append", lambda self, *args: appended.append(args))
+        with pytest.raises(ValueError, match="takes a step variance to 0 or inf"):
+            generate(target, draft, replace(config, temperature=1e-170, seed=7))
+        assert appended == []
 
     def test_identical_models_accept_everything(self, std_pair):
         target, _, config = std_pair
