@@ -47,9 +47,9 @@ def _array(value, shape: tuple[int, ...], path: str) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    # asarray reads "0.1" and true as numbers too, so each leaf is looked at.
+    # asarray reads "0.1" and true as numbers and null as NaN, so each leaf is looked at.
     for leaf in np.asarray(value, dtype=object).flat:
-        if isinstance(leaf, (bool, str)):
+        if leaf is None or isinstance(leaf, (bool, str)):
             raise ConfigError(f"{path}: expected numbers, got {leaf!r}")
     if arr.ndim == 0:
         arr = arr.reshape(1)  # a scalar is a one-element vector, as ``as_vector`` reads it

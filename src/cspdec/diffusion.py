@@ -63,7 +63,9 @@ class ChainPlan:
     root of its ``variances`` row, looked up once.  ``log_var_tail`` is
     ``0.5 * sum(log variances)`` over all steps but the last.
     ``last_log_norm`` and ``last_two_var`` are ``-0.5*log(2*pi*v)`` and
-    ``2*v`` for the final step's variance ``v`` clamped to ``VARIANCE_FLOOR``.
+    ``2*v`` for the final step's variance ``v``.  Every entry of
+    ``variances`` is at least ``VARIANCE_FLOOR``, so the densities are those
+    of the steps the chains sample.
     """
 
     variances: np.ndarray
@@ -79,8 +81,11 @@ class ChainPlan:
         except OverflowError:  # float ** 2 raises where numpy would give inf
             variances = np.full_like(spec.variance, np.inf)
         # A variance that underflows to 0 makes the tail term NaN, which accepts every draft.
-        if not (np.isfinite(variances).all() and variances.min() > 0.0):
-            raise ValueError(f"temperature {temperature!r} takes a step variance to 0 or inf")
+        if not (np.isfinite(variances).all() and variances.min() >= VARIANCE_FLOOR):
+            raise ValueError(
+                f"temperature {temperature!r} takes a step variance below the variance"
+                f" floor {VARIANCE_FLOOR:g} or to inf"
+            )
         scales = np.sqrt(variances)
         last_log_norm, last_two_var = diag_variance_terms(variances[-1])
         # Freeze before taking the row views, which inherit the flag.
@@ -131,7 +136,8 @@ class DenoiserSpec:
             raise ValueError("a denoiser needs at least 2 steps")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        v = np.maximum(v, VARIANCE_FLOOR)
+        if v.min() < VARIANCE_FLOOR:
+            raise ValueError(f"variance must be at least {VARIANCE_FLOOR:g}")
         for arr in (a, c, b, v):
             arr.flags.writeable = False
         object.__setattr__(self, "state_coef", a)
@@ -174,7 +180,7 @@ class NoiseRecord:
 
     Row 0 is ``x_T`` and rows 1..T are the step draws in execution order,
     matching :class:`DenoiserSpec`.  The block is a checked copy of the
-    caller's, frozen; ``x_init`` and ``eps`` are read-only views of it.
+    caller's, frozen.
     """
 
     block: np.ndarray
@@ -183,14 +189,6 @@ class NoiseRecord:
         z = _as_step_matrix(self.block, "noise block")
         z.flags.writeable = False
         object.__setattr__(self, "block", z)
-
-    @property
-    def x_init(self) -> np.ndarray:
-        return self.block[0]
-
-    @property
-    def eps(self) -> np.ndarray:
-        return self.block[1:]
 
 
 def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRecord:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Variances are clamped to this floor at construction so log-densities stay
-# finite even for degenerate inputs.
+# The smallest variance a density may use.  It is checked where a variance
+# enters (a denoiser spec, Gaussian params, a temperature's chain plan), so
+# every density is the one of the step that was sampled.
 VARIANCE_FLOOR = 1e-12
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -45,14 +46,15 @@ class GaussianParams:
 
     def __post_init__(self):
         mean = as_vector(self.mean, name="mean")
-        var = np.atleast_1d(np.asarray(self.variance, dtype=np.float64))
+        var = np.array(self.variance, dtype=np.float64, ndmin=1)
         if var.shape != mean.shape:
             raise ValueError(
                 f"variance shape {var.shape} does not match mean shape {mean.shape}"
             )
         if not np.isfinite(var).all():
             raise ValueError("variance contains non-finite components")
-        var = np.maximum(var, VARIANCE_FLOOR)
+        if var.min() < VARIANCE_FLOOR:
+            raise ValueError(f"variance must be at least {VARIANCE_FLOOR:g}")
         var.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", var)
@@ -71,12 +73,11 @@ def gaussian_logpdf(x, params: GaussianParams) -> float:
 def diag_variance_terms(variance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The variance-only parts of a diagonal log-density: ``-0.5*log(2*pi*v)`` and ``2*v``.
 
-    ``v`` is ``variance`` clamped to ``VARIANCE_FLOOR`` as
-    :class:`GaussianParams` does.  A caller that evaluates many points under
-    one variance computes these once; reading a density off a trajectory's
-    arrays this way gives the same bits as building the parameters first.
+    ``variance`` is already checked against ``VARIANCE_FLOOR``.  A caller that
+    evaluates many points under one variance computes these once; reading a
+    density off a trajectory's arrays this way gives the same bits as building
+    the parameters first.
     """
-    variance = np.maximum(variance, VARIANCE_FLOOR)
     return -0.5 * (LOG_2PI + np.log(variance)), 2.0 * variance
 
 
@@ -91,16 +92,3 @@ def diag_logpdf_from_terms(
     """
     dev = x - mean
     return float((log_norm - dev * dev / two_var).sum())
-
-
-def log_std_ratio(var_num, var_den) -> float:
-    """Log of the ratio of the two standard-deviation products.
-
-    Returns ``0.5 * sum_i (log var_num_i - log var_den_i)``, the log-space
-    form of ``sqrt(|diag(var_num)|) / sqrt(|diag(var_den)|)``.
-    """
-    num = as_vector(var_num, name="var_num")
-    den = as_vector(var_den, dim=num.shape[0], name="var_den")
-    if np.any(num < VARIANCE_FLOOR) or np.any(den < VARIANCE_FLOOR):
-        raise ValueError("variances must be at or above the variance floor")
-    return float(0.5 * np.sum(np.log(num) - np.log(den)))

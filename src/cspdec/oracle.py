@@ -260,10 +260,6 @@ class AcceptanceSummary:
         probability estimate, the quantity the walltime formula calls alpha."""
         return self.accepted / self.examined if self.examined else None
 
-    def position_rate(self, position: int) -> float | None:
-        acc, exam = self.per_position.get(position, (0, 0))
-        return acc / exam if exam else None
-
 
 def empirical_acceptance(stats: RunStats | Iterable[RunStats]) -> AcceptanceSummary:
     """Per-position and overall acceptance rates from one or more runs."""

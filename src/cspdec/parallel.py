@@ -27,6 +27,7 @@ def _map_chunks(fn, target, draft, config, seeds: list[int], jobs: int | None) -
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or len(seeds) < 2 * jobs:
         return [fn((target, draft, config, seeds))]
     chunk = (len(seeds) + 4 * jobs - 1) // (4 * jobs)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from cspdec.gaussian import log_std_ratio
 from cspdec.parallel import run_replicates
 from cspdec.rng import replicate_seed
 from cspdec.scenarios import prefix_divergent_pair, standard_pair
 
 JOBS = 2
+
+# ChainPlan's message for a temperature that takes a step variance out of range.
+BELOW_FLOOR = "temperature {} takes a step variance below the variance floor 1e-12 or to inf"
 
 # Scoreboard lines collected by the acceptance tests; echoed after the run so
 # they survive output capture.
@@ -18,6 +20,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def log_std_ratio(var_num, var_den) -> float:
+    """Reference log of the ratio of two standard-deviation products.
+
+    ``0.5 * sum_i (log var_num_i - log var_den_i)``, the log-space form of
+    ``sqrt(|diag(var_num)|) / sqrt(|diag(var_den)|)``.
+    """
+    num = np.asarray(var_num, dtype=np.float64)
+    den = np.asarray(var_den, dtype=np.float64)
+    return float(0.5 * np.sum(np.log(num) - np.log(den)))
 
 
 def drop_whole_chain_variance_product(traj_q, traj_p) -> float:

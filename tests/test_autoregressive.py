@@ -132,12 +132,9 @@ class TestPrefixDivergence:
     def test_position_zero_accepts_less_than_later_positions(self, prefill_run_stats):
         # backbones differing only in the prefix embedding depress acceptance
         # exactly at position 0
-        summary = empirical_acceptance(prefill_run_stats[0.0])
-        pos0 = summary.position_rate(0)
-        later = [
-            summary.position_rate(i)
-            for i in range(2, 8)
-            if summary.position_rate(i) is not None
-        ]
+        per_position = empirical_acceptance(prefill_run_stats[0.0]).per_position
+        rates = {pos: acc / exam for pos, (acc, exam) in per_position.items()}
+        pos0 = rates.get(0)
+        later = [rates[i] for i in range(2, 8) if i in rates]
         assert pos0 is not None and later
         assert all(pos0 < rate for rate in later)

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,32 @@ class TestJobs:
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             run_replicates(target, draft, config, [1, 2, 3], jobs=jobs)
         assert runs == []
+
+    def test_job_count_capped_at_the_cpu_count(self, monkeypatch):
+        # No process starts: the pool is a recording fake that maps in-process.
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        target, draft = decoupled_pair(0.0, 1.0, 0.6, 1.0)
+        config = SpecDecodeConfig(gamma=2, steps=2, dim=1, length=4, seed=0)
+        seeds = [replicate_seed(8, 0, r) for r in range(20)]
+        serial = run_replicates(target, draft, config, seeds, jobs=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        assert run_replicates(target, draft, config, seeds, jobs=64) == serial
+        assert opened == [2]
 
 
 class TestTrialsHistogram:

@@ -1,6 +1,7 @@
 """The CI workflow runs the Tier-1 command that ROADMAP.md names."""
 
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -18,5 +19,11 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert set(workflow[True]) == {"push", "pull_request"}
     steps = workflow["jobs"]["tier1"]["steps"]
     assert steps[1]["with"]["python-version"] == "3.11"
-    assert steps[2]["run"].split()[-4:] == ["numpy", "scipy", "pytest", "hypothesis"]
+    # The dependencies are the package's own and its test extra, read from pyproject.toml.
+    assert steps[2]["run"] == 'python -m pip install -e ".[test]"'
     assert steps[-1]["run"] == command.group(1)
+
+
+def test_test_extra_lists_the_test_runners():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert {"pytest", "hypothesis"} <= set(project["optional-dependencies"]["test"])

@@ -27,7 +27,7 @@ from cspdec.engine import SpecDecodeConfig
 from cspdec.oracle import DistCheckResult, PositionKS
 from cspdec.scenarios import SCENARIOS, scenario_path, standard_pair
 
-from conftest import random_denoiser
+from conftest import BELOW_FLOOR, random_denoiser
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,22 @@ class TestMalformedDocuments:
             _set("draft", "backbone", "bias", value="0.18"),
             "draft.backbone.bias: expected numbers, got '0.18'",
         ),
+        "denoiser-zero-variance": (
+            _set("target", "denoiser", "variance", 0, value=[0]),
+            "target.denoiser: variance must be at least 1e-12",
+        ),
+        "denoiser-negative-variance": (
+            _set("target", "denoiser", "variance", 0, value=[-0.5]),
+            "target.denoiser: variance must be at least 1e-12",
+        ),
+        "denoiser-json-null": (
+            _set("target", "denoiser", "offset", value=[[0.1], [None], [1.0]]),
+            "target.denoiser.offset: expected numbers, got None",
+        ),
+        "backbone-json-null": (
+            _set("target", "backbone", "bias", value=None),
+            "target.backbone.bias: expected numbers, got None",
+        ),
         "run-mistyped-value": (
             _set("run", "gamma", value="x"), "run: gamma must be an integer, got 'x'"
         ),
@@ -375,8 +391,9 @@ class TestGenerateCommand:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--temp", "1e-170", "takes a step variance to 0 or inf"),
-            ("--temp", "1e200", "takes a step variance to 0 or inf"),
+            ("--temp", "1e-170", BELOW_FLOOR.format("1e-170")),
+            ("--temp", "1e-7", BELOW_FLOOR.format("1e-07")),
+            ("--temp", "1e200", BELOW_FLOOR.format("1e+200")),
             ("--temp", "inf", "temperature must be positive and finite"),
             ("--jobs", "0", "jobs must be >= 1, got 0"),
             ("--jobs", "-3", "jobs must be >= 1, got -3"),

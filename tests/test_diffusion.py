@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -17,9 +18,9 @@ from cspdec.diffusion import (
     trajectory_logpdf_terms,
 )
 from cspdec.engine import acceptance_log_ratio
-from cspdec.gaussian import VARIANCE_FLOOR, GaussianParams, gaussian_logpdf
+from cspdec.gaussian import LOG_2PI, VARIANCE_FLOOR, GaussianParams, gaussian_logpdf
 
-from conftest import random_denoiser
+from conftest import BELOW_FLOOR, random_denoiser
 
 
 def passthrough_spec(steps=2, dim=1):
@@ -47,18 +48,16 @@ class TestDrawNoiseRecord:
     def test_deterministic_per_seed(self):
         a = draw_noise_record(2, 1, np.random.default_rng(7))
         b = draw_noise_record(2, 1, np.random.default_rng(7))
-        assert np.array_equal(a.x_init, b.x_init)
-        assert np.array_equal(a.eps, b.eps)
+        assert np.array_equal(a.block, b.block)
 
     def test_distinct_seeds_differ(self):
         a = draw_noise_record(2, 1, np.random.default_rng(1))
         b = draw_noise_record(2, 1, np.random.default_rng(2))
-        assert not (np.array_equal(a.x_init, b.x_init) and np.array_equal(a.eps, b.eps))
+        assert not np.array_equal(a.block, b.block)
 
     def test_shapes(self):
         rec = draw_noise_record(3, 2, np.random.default_rng(0))
-        assert rec.eps.shape == (3, 2)
-        assert rec.x_init.shape == (2,)
+        assert rec.block.shape == (4, 2)
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -70,18 +69,17 @@ class TestDrawNoiseRecord:
         # (T, d) step noises, then whatever the caller draws next.
         rng, twin = np.random.default_rng(41), np.random.default_rng(41)
         rec = draw_noise_record(steps, dim, rng)
-        assert np.array_equal(rec.x_init, twin.standard_normal(dim))
-        assert np.array_equal(rec.eps, twin.standard_normal((steps, dim)))
+        assert np.array_equal(rec.block[0], twin.standard_normal(dim))
+        assert np.array_equal(rec.block[1:], twin.standard_normal((steps, dim)))
         assert rng.random() == twin.random()
 
 
 class TestNoiseRecord:
     def test_x_init_and_eps_are_read_only_views_of_the_block(self):
+        # x_T is row 0 of the block and the step noises are the rest.
         record = NoiseRecord([[0.4], [0.3], [-0.7]])
-        assert np.array_equal(record.x_init, [0.4])
-        assert np.array_equal(record.eps, [[0.3], [-0.7]])
-        for view in (record.x_init, record.eps):
-            assert np.shares_memory(view, record.block)
+        assert np.array_equal(record.block, [[0.4], [0.3], [-0.7]])
+        for view in (record.block, record.block[0], record.block[1:]):
             with pytest.raises(ValueError):
                 view[0] = 1.0
 
@@ -96,7 +94,7 @@ class TestRunChain:
         spec = passthrough_spec(steps=3, dim=2)
         noise = NoiseRecord([[0.7, -1.1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         traj = run_chain(spec, [0.0, 0.0], noise)
-        assert np.array_equal(traj.token, noise.x_init)
+        assert np.array_equal(traj.token, noise.block[0])
 
     def test_hand_iterated_two_step_chain(self):
         spec = decoupled_spec(offsets=[0.0, 0.0], variances=[1.0, 1.0])
@@ -158,7 +156,7 @@ class TestRunChain:
         noise = draw_noise_record(4, 2, rng)
         traj = run_chain(spec, [0.1, -0.2], noise, temperature=0.8)
         for row in range(traj.steps):
-            redo = np.sqrt(traj.variances[row]) * traj.noise.eps[row] + traj.means[row]
+            redo = np.sqrt(traj.variances[row]) * traj.noise.block[row + 1] + traj.means[row]
             assert np.array_equal(redo, traj.outputs[row])
 
     def test_log_var_tail_matches_stored_step_params_exactly(self):
@@ -175,18 +173,16 @@ class TestChainPlan:
         """Reference chain: every constant worked out per call, means by ``step_mean``."""
         variances = float(tau) ** 2 * spec.variance
         scales = np.sqrt(variances)
-        means, outputs = np.empty(noise.eps.shape), np.empty(noise.eps.shape)
-        x = noise.x_init
+        means, outputs = np.empty(noise.block[1:].shape), np.empty(noise.block[1:].shape)
+        x = noise.block[0]
         for row in range(spec.steps):
             means[row] = spec.step_mean(row, x, cond)
-            x = outputs[row] = scales[row] * noise.eps[row] + means[row]
+            x = outputs[row] = scales[row] * noise.block[row + 1] + means[row]
         return means, outputs, variances, float(0.5 * np.log(variances[:-1]).sum())
 
-    @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-7])
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-5])
     @pytest.mark.parametrize("nonlinearity", ["identity", "tanh"])
     def test_chain_bits_equal_the_per_call_formulas(self, tau, nonlinearity):
-        # At tau = 1e-7 every tau^2 * var lies below the variance floor, which
-        # the chain's own variances do not apply.
         rng = np.random.default_rng(round(tau * 1e7))
         for steps in range(2, 9):
             for dim in range(1, 4):
@@ -235,8 +231,29 @@ class TestChainPlan:
     @pytest.mark.parametrize("tau", [1e-170, 1e200, math.inf])
     def test_temperature_taking_a_variance_to_0_or_inf_rejected(self, tau):
         spec = random_denoiser(np.random.default_rng(6), 3, 1)
-        with pytest.raises(ValueError, match="takes a step variance to 0 or inf"):
+        with pytest.raises(ValueError, match=re.escape(BELOW_FLOOR.format(repr(tau)))):
             spec.plan(tau)
+
+    def test_plan_densities_belong_to_the_sampled_variances(self):
+        # Either the plan is refused, or the final-step density terms are
+        # those of the variance the chain samples with, bit for bit.
+        rng = np.random.default_rng(15)
+        built = refused = 0
+        for _ in range(400):
+            spec = random_denoiser(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
+            tau = 10.0 ** rng.uniform(-8.0, 2.0)
+            try:
+                plan = spec.plan(tau)
+            except ValueError:
+                assert (tau**2 * spec.variance).min() < VARIANCE_FLOOR
+                refused += 1
+                continue
+            built += 1
+            last = plan.variances[-1]
+            assert (plan.variances >= VARIANCE_FLOOR).all()
+            assert np.array_equal(plan.last_two_var, 2 * last)
+            assert np.array_equal(plan.last_log_norm, -0.5 * (LOG_2PI + np.log(last)))
+        assert built and refused
 
     def test_plans_stay_out_of_fields_and_pickles(self):
         rng = np.random.default_rng(9)
@@ -431,7 +448,10 @@ class TestSpecValidation:
             )
 
     def test_variance_floor_applied(self):
-        spec = decoupled_spec(offsets=[0, 0], variances=[0.0, 1.0])
+        for variance in (0.0, -1.0, VARIANCE_FLOOR / 2):
+            with pytest.raises(ValueError, match="variance must be at least 1e-12"):
+                decoupled_spec(offsets=[0, 0], variances=[1.0, variance])
+        spec = decoupled_spec(offsets=[0, 0], variances=[VARIANCE_FLOOR, 1.0])
         assert spec.variance[0, 0] == VARIANCE_FLOOR
 
     def test_caller_arrays_are_copied_not_frozen(self):

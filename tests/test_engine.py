@@ -28,12 +28,20 @@ from cspdec.engine import (
     verify_drafts,
 )
 from cspdec.gaussian import GaussianParams, gaussian_logpdf
-from cspdec.oracle import Grid1D, beta_integral, empirical_acceptance, gaussian_density
+from cspdec.oracle import (
+    Grid1D,
+    beta_integral,
+    distribution_check,
+    empirical_acceptance,
+    gaussian_density,
+    reference_tokens,
+)
+from cspdec.parallel import speculative_token_matrix
 from cspdec.rng import PositionStreams, replicate_seed
 from cspdec.scenarios import decoupled_pair
 from cspdec.autoregressive import SequenceState, sample_token, target_only_generate
 
-from conftest import drop_whole_chain_variance_product, random_denoiser
+from conftest import BELOW_FLOOR, JOBS, drop_whole_chain_variance_product, random_denoiser
 
 
 def fixed_gaussian_denoiser(mean, var, tail_var=1.0):
@@ -130,11 +138,10 @@ class TestAcceptanceLogRatio:
         assert math.exp(lr) == pytest.approx(0.7275, abs=1e-4)
         assert traj_p.steps == 2
 
-    @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-7])
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-5])
     def test_trajectory_rows_give_the_gaussian_params_bits(self, tau):
         # The final-step densities are read off the trajectory arrays; they
-        # must equal the GaussianParams path exactly, variance floor included
-        # (at tau = 1e-7 every tau^2 * var lies below it).
+        # must equal the GaussianParams path exactly.
         rng = np.random.default_rng(int(tau * 1e7))
         t2 = tau**2
         for _ in range(20):
@@ -372,9 +379,22 @@ class TestGenerate:
         target, draft, config = std_pair
         appended = []
         monkeypatch.setattr(SequenceState, "append", lambda self, *args: appended.append(args))
-        with pytest.raises(ValueError, match="takes a step variance to 0 or inf"):
+        with pytest.raises(ValueError, match=BELOW_FLOOR.format("1e-170")):
             generate(target, draft, replace(config, temperature=1e-170, seed=7))
         assert appended == []
+
+    def test_temperature_below_the_floor_raises_before_any_token(self, monkeypatch):
+        # At 1e-7 every tau^2 * var lies below the variance floor: a chain
+        # would sample with one variance and score with another.
+        target, draft = decoupled_pair(0.0, 0.2, 0.0, 0.3)
+        config = SpecDecodeConfig(gamma=1, steps=2, dim=1, length=1, temperature=1e-7, seed=3)
+
+        def refuse(self, *args):
+            raise AssertionError("a token was appended")
+
+        monkeypatch.setattr(SequenceState, "append", refuse)
+        with pytest.raises(ValueError, match=BELOW_FLOOR.format("1e-07")):
+            generate(target, draft, config)
 
     def test_identical_models_accept_everything(self, std_pair):
         target, _, config = std_pair
@@ -560,3 +580,31 @@ class TestFaultInjection:
         assert broken - base == pytest.approx(shift, abs=1e-12)
         resample_base, resample_broken = resample_ratios
         assert resample_broken - resample_base == pytest.approx(shift, abs=1e-12)
+
+
+class TestTargetLawAtTemperature:
+    """Temperature scales every step variance, so exactness is checked away from 1."""
+
+    @pytest.mark.parametrize("tau", [0.7, 1.3])
+    def test_output_law_matches_target_only(self, tau, std_pair):
+        target, draft, config = std_pair
+        config = replace(config, temperature=tau, seed=15)
+        result = distribution_check(
+            target, draft, config, runs=5000, significance=1e-4 / config.length, jobs=JOBS
+        )
+        assert result.passed, result.max_statistic
+
+    def test_smallest_temperatures_keep_the_target_variance(self):
+        # Final-step variances 0.2 (target) and 0.3 (draft), scaled by tau^2
+        # to just above the variance floor; the output variance must stay
+        # the target's.
+        tau, runs = 2.5e-6, 4000
+        target, draft = decoupled_pair(0.0, 0.2, 0.0, 0.3)
+        config = SpecDecodeConfig(gamma=1, steps=2, dim=1, length=1, temperature=tau, seed=31)
+        seeds = [replicate_seed(31, 0, r) for r in range(runs)]
+        spec_var = speculative_token_matrix(target, draft, config, seeds, jobs=JOBS).var(ddof=1)
+        ref_var = reference_tokens(target, config, runs, jobs=JOBS).var(ddof=1)
+        spec_var, ref_var = spec_var / tau**2, ref_var / tau**2
+        # Each sample variance has standard error var * sqrt(2 / (runs - 1)).
+        stderr = math.hypot(spec_var, ref_var) * math.sqrt(2.0 / (runs - 1))
+        assert abs(spec_var - ref_var) < 4.0 * stderr, (spec_var, ref_var)

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspdec.gaussian import (
-    VARIANCE_FLOOR,
-    GaussianParams,
-    gaussian_logpdf,
-    log_std_ratio,
-)
+from cspdec.gaussian import VARIANCE_FLOOR, GaussianParams, gaussian_logpdf
+
+from conftest import log_std_ratio
 
 STD_NORMAL_MODE = -0.9189385332046727  # -0.5 * ln(2*pi)
 
@@ -48,23 +45,6 @@ class TestGaussianLogpdf:
         params = GaussianParams(mean=[0.3, -0.7], variance=[0.9, 2.0])
         x = [0.1, 0.2]
         assert gaussian_logpdf(x, params) == gaussian_logpdf(x, params)
-
-
-class TestLogStdRatio:
-    def test_identical_variances_give_zero(self):
-        assert log_std_ratio([0.3, 1.7], [0.3, 1.7]) == 0.0
-
-    def test_one_dim(self):
-        assert log_std_ratio([0.25], [1.0]) == pytest.approx(0.5 * math.log(0.25), abs=1e-12)
-
-    def test_sums_over_dimensions(self):
-        assert log_std_ratio([0.25, 0.25], [1.0, 1.0]) == pytest.approx(
-            math.log(0.25), abs=1e-12
-        )
-
-    def test_below_floor_rejected(self):
-        with pytest.raises(ValueError):
-            log_std_ratio([1e-15], [1.0])
 
 
 class TestInvariants:
@@ -106,9 +86,21 @@ class TestInvariants:
 
 
 class TestConstruction:
-    def test_variance_clamped_to_floor(self):
-        params = GaussianParams(mean=[0.0], variance=[0.0])
+    def test_variance_below_floor_rejected(self):
+        for variance in (0.0, -1.0, VARIANCE_FLOOR / 2):
+            with pytest.raises(ValueError, match="variance must be at least 1e-12"):
+                GaussianParams(mean=[0.0, 0.0], variance=[1.0, variance])
+
+    def test_variance_at_floor_kept(self):
+        params = GaussianParams(mean=[0.0], variance=[VARIANCE_FLOOR])
         assert params.variance[0] == VARIANCE_FLOOR
+
+    def test_caller_variance_is_copied_not_frozen(self):
+        var = np.array([0.5, 2.0])
+        params = GaussianParams(mean=[0.0, 0.0], variance=var)
+        assert var.flags.writeable and not params.variance.flags.writeable
+        var[0] = 9.0
+        assert params.variance[0] == 0.5
 
     def test_immutable_arrays(self):
         params = GaussianParams(mean=[0.0], variance=[1.0])
