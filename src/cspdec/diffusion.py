@@ -10,6 +10,7 @@ noise, which is what makes their step-density ratio telescope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,19 +58,20 @@ class ChainPlan:
     """The temperature-dependent constants of one denoiser's chains.
 
     Built once per (denoiser, temperature) by :meth:`DenoiserSpec.plan` and
-    shared by every chain run there; every array is read-only.
-    ``variances`` holds ``temperature**2 * variance``; ``rows`` holds each
-    step's ``state_coef``, ``cond_coef`` and ``offset`` rows and the square
-    root of its ``variances`` row, looked up once.  ``log_var_tail`` is
-    ``0.5 * sum(log variances)`` over all steps but the last.
-    ``last_log_norm`` and ``last_two_var`` are ``-0.5*log(2*pi*v)`` and
-    ``2*v`` for the final step's variance ``v``.  Every entry of
-    ``variances`` is at least ``VARIANCE_FLOOR``, so the densities are those
-    of the steps the chains sample.
+    shared by every chain run there.  ``variances`` holds the read-only
+    ``temperature**2 * variance`` array.  ``columns`` holds, for each
+    coordinate, a tuple of per-step ``(state_coef, cond_coef, offset, scale)``
+    Python floats in execution order, where ``scale`` is the square root of
+    the step's ``variances`` entry; :func:`run_chain` reads nothing else per
+    step.  ``log_var_tail`` is ``0.5 * sum(log variances)`` over all steps
+    but the last.  ``last_log_norm`` and ``last_two_var`` are the read-only
+    ``-0.5*log(2*pi*v)`` and ``2*v`` for the final step's variance ``v``.
+    Every entry of ``variances`` is at least ``VARIANCE_FLOOR``, so the
+    densities are those of the steps the chains sample.
     """
 
     variances: np.ndarray
-    rows: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    columns: tuple[tuple[tuple[float, float, float, float], ...], ...]
     log_var_tail: float
     last_log_norm: np.ndarray
     last_two_var: np.ndarray
@@ -86,14 +88,14 @@ class ChainPlan:
                 f"temperature {temperature!r} takes a step variance below the variance"
                 f" floor {VARIANCE_FLOOR:g} or to inf"
             )
-        scales = np.sqrt(variances)
         last_log_norm, last_two_var = diag_variance_terms(variances[-1])
-        # Freeze before taking the row views, which inherit the flag.
-        for arr in (variances, scales, last_log_norm, last_two_var):
+        for arr in (variances, last_log_norm, last_two_var):
             arr.flags.writeable = False
+        arrays = (spec.state_coef, spec.cond_coef, spec.offset, np.sqrt(variances))
+        per_coordinate = zip(*(arr.T.tolist() for arr in arrays))
         return cls(
             variances=variances,
-            rows=tuple(zip(spec.state_coef, spec.cond_coef, spec.offset, scales)),
+            columns=tuple(tuple(zip(*column)) for column in per_coordinate),
             log_var_tail=float(0.5 * np.log(variances[:-1]).sum()),
             last_log_norm=last_log_norm,
             last_two_var=last_two_var,
@@ -166,13 +168,6 @@ class DenoiserSpec:
     def dim(self) -> int:
         return self.state_coef.shape[1]
 
-    def step_mean(self, row: int, state: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """Mean of step ``row`` (execution order) given state and condition."""
-        m = self.state_coef[row] * state + self.cond_coef[row] * cond + self.offset[row]
-        if self.nonlinearity == "tanh":
-            m = np.tanh(m)
-        return m
-
 
 @dataclass(frozen=True)
 class NoiseRecord:
@@ -195,13 +190,20 @@ def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRe
     """Draw ``x_T`` and all step noises i.i.d. standard normal from ``rng``.
 
     One ``(steps + 1, dim)`` draw: ``x_T`` is its first row and the step
-    noises the rest, the same stream order as drawing ``x_T`` first.
+    noises the rest, the same stream order as drawing ``x_T`` first.  The
+    drawn block is fresh, float64 and finite, and nothing else holds it, so
+    it is frozen in place and becomes the record as it is, without the copy
+    and the finiteness check that ``NoiseRecord(...)`` gives a caller's array.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return NoiseRecord(rng.standard_normal((steps + 1, dim)))
+    block = rng.standard_normal((steps + 1, dim))
+    block.flags.writeable = False
+    record = object.__new__(NoiseRecord)
+    object.__setattr__(record, "block", block)
+    return record
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,16 @@ def run_chain(
 ) -> DenoisingTrajectory:
     """Run the denoising chain on a fixed noise record.
 
-    The inputs are checked once on entry; the step rows and scales come from
-    the denoiser's cached :class:`ChainPlan`, the chain itself is arithmetic
-    only, and its states are checked for divergence once, after the last step.
+    The inputs are checked once on entry.  The chain then runs on Python
+    floats, one coordinate at a time, on the per-step constants of the
+    denoiser's cached :class:`ChainPlan`: ``mean = a * x + c * cond + b``
+    (then ``tanh``, if the denoiser has it) and ``x = scale * eps + mean``.
+    No step mixes coordinates, and a Python float ``*`` or ``+`` is the same
+    IEEE double operation as numpy's elementwise float64 one, evaluated in
+    the same order, so every mean and output has the bits of the row-wise
+    numpy formulas.  ``tanh`` is numpy's, applied to the scalar, because
+    ``math.tanh`` can differ from it in the last bit.  The outputs are
+    checked for divergence once, after the last step.
 
     Parameters
     ----------
@@ -274,8 +283,13 @@ def run_chain(
     Returns
     -------
     DenoisingTrajectory
-        Fresh read-only ``means`` and ``outputs``; its ``variances`` is the
-        plan's shared read-only array.
+        Fresh C-contiguous, read-only ``(T, d)`` float64 ``means`` and
+        ``outputs``; its ``variances`` is the plan's shared read-only array.
+
+    Raises
+    ------
+    ChainDivergenceError
+        If an output is not finite; it names the first step with one.
     """
     cond = as_vector(cond, dim=spec.dim, name="cond")
     block = noise.block
@@ -284,26 +298,35 @@ def run_chain(
         raise ValueError(f"noise block shape {block.shape} does not fit denoiser shape {shape}")
     plan = spec.plan(temperature)
 
-    means = np.empty(shape)
-    outputs = np.empty(shape)
+    steps, dim = shape
     tanh = spec.nonlinearity == "tanh"
-    x = block[0]
-    for row, (a, c, b, scale) in enumerate(plan.rows):
-        # spec.step_mean(row, x, cond) on the plan's rows, the same bits
-        mean = a * x + c * cond + b
-        if tanh:
-            mean = np.tanh(mean)
-        x = scale * block[row + 1] + mean
-        means[row] = mean
-        outputs[row] = x
-    if not np.isfinite(outputs).all():
+    # Row-major (T, d) values; coordinate j fills every dim-th slot from j.
+    means = [0.0] * (steps * dim)
+    outputs = [0.0] * (steps * dim)
+    columns = zip(plan.columns, cond.tolist(), block[0].tolist(), block[1:].T.tolist())
+    for j, (column, k, x, eps) in enumerate(columns):
+        column_means, column_outputs = [], []
+        for (a, c, b, scale), e in zip(column, eps):
+            mean = a * x + c * k + b
+            if tanh:
+                mean = float(np.tanh(mean))
+            x = scale * e + mean
+            column_means.append(mean)
+            column_outputs.append(x)
+        means[j::dim] = column_means
+        outputs[j::dim] = column_outputs
+    if not all(map(math.isfinite, outputs)):
         # Name the first non-finite row: a later one can come back finite
         # through tanh.
-        first = int(np.isfinite(outputs).all(axis=1).argmin())
-        raise ChainDivergenceError(step=shape[0] - first, position=position)
+        first = next(i for i, v in enumerate(outputs) if not math.isfinite(v)) // dim
+        raise ChainDivergenceError(step=steps - first, position=position)
+    # Freeze the flat arrays, so that the (T, d) views and their bases are read-only.
+    means, outputs = np.array(means), np.array(outputs)
     means.flags.writeable = False
     outputs.flags.writeable = False
-    return DenoisingTrajectory(noise=noise, means=means, outputs=outputs, plan=plan)
+    return DenoisingTrajectory(
+        noise=noise, means=means.reshape(shape), outputs=outputs.reshape(shape), plan=plan
+    )
 
 
 def tail_log_density_ratio(traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory) -> float:
@@ -332,7 +355,7 @@ def analytic_marginal(spec: DenoiserSpec, cond, temperature: float = 1.0) -> Gau
     mean = np.zeros(spec.dim)
     var = np.ones(spec.dim)
     for row in range(spec.steps):
-        mean = spec.step_mean(row, mean, cond)
+        mean = spec.state_coef[row] * mean + spec.cond_coef[row] * cond + spec.offset[row]
         var = spec.state_coef[row] ** 2 * var + variances[row]
     return GaussianParams(mean, var)
 

@@ -78,3 +78,16 @@ def random_denoiser(rng: np.random.Generator, steps: int, dim: int, tanh_prob: f
         variance=rng.uniform(0.05, 2.5, (steps, dim)),
         nonlinearity="tanh" if rng.random() < tanh_prob else "identity",
     )
+
+
+def step_mean(spec, row: int, state, cond) -> np.ndarray:
+    """Reference mean of step ``row`` (execution order), in numpy on the spec's rows.
+
+    The independent per-row formula that ``run_chain``'s float loop must match bit
+    for bit: ``state_coef * state + cond_coef * cond + offset``, then tanh if the
+    denoiser has it.
+    """
+    m = spec.state_coef[row] * state + spec.cond_coef[row] * cond + spec.offset[row]
+    if spec.nonlinearity == "tanh":
+        m = np.tanh(m)
+    return m

@@ -17,7 +17,10 @@ def test_workflow_runs_the_roadmap_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
     # YAML 1.1 reads the bare key "on" as True.
     assert set(workflow[True]) == {"push", "pull_request"}
-    steps = workflow["jobs"]["tier1"]["steps"]
+    job = workflow["jobs"]["tier1"]
+    # A hung test must fail the job long before the runner's own limit.
+    assert 0 < job["timeout-minutes"] <= 60
+    steps = job["steps"]
     assert steps[1]["with"]["python-version"] == "3.11"
     # The dependencies are the package's own and its test extra, read from pyproject.toml.
     assert steps[2]["run"] == 'python -m pip install -e ".[test]"'

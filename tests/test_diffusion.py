@@ -20,7 +20,7 @@ from cspdec.diffusion import (
 from cspdec.engine import acceptance_log_ratio
 from cspdec.gaussian import LOG_2PI, VARIANCE_FLOOR, GaussianParams, gaussian_logpdf
 
-from conftest import BELOW_FLOOR, random_denoiser
+from conftest import BELOW_FLOOR, random_denoiser, step_mean
 
 
 def passthrough_spec(steps=2, dim=1):
@@ -63,15 +63,20 @@ class TestDrawNoiseRecord:
         with pytest.raises(ValueError):
             draw_noise_record(1, 1, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("steps, dim", [(2, 1), (3, 2), (7, 5), (20, 3)])
+    @pytest.mark.parametrize("steps, dim", [(2, 1), (3, 2), (7, 5), (20, 3), (25, 16)])
     def test_stream_order_is_x_init_then_step_noise(self, steps, dim):
         # Every seeded run replays this order: x_T's d normals, then the
-        # (T, d) step noises, then whatever the caller draws next.
+        # (T, d) step noises, then whatever the caller draws next.  The record
+        # holds the drawn block itself, frozen.
         rng, twin = np.random.default_rng(41), np.random.default_rng(41)
         rec = draw_noise_record(steps, dim, rng)
         assert np.array_equal(rec.block[0], twin.standard_normal(dim))
         assert np.array_equal(rec.block[1:], twin.standard_normal((steps, dim)))
+        assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random() == twin.random()
+        assert rec.block.dtype == np.float64 and rec.block.flags.c_contiguous
+        with pytest.raises(ValueError):
+            rec.block[0, 0] = 1.0
 
 
 class TestNoiseRecord:
@@ -150,6 +155,30 @@ class TestRunChain:
         assert err.value.step == 2
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("dim, column", [(3, 0), (3, 2)])
+    def test_divergence_names_the_first_non_finite_step_across_coordinates(self, dim, column):
+        # In `column`, step row 1 overflows (sqrt(1e300) * 1e160) and tanh
+        # brings rows 2-4 back to finite; in every other column, row 3 is the
+        # first to overflow.  The chain runs one coordinate at a time, but the
+        # error names row 1 (t = 4), the first non-finite step of any coordinate.
+        steps = 5
+        variance = np.ones((steps, dim))
+        variance[1, column] = variance[3] = 1e300
+        noise = np.zeros((steps + 1, dim))
+        noise[2, column] = noise[4] = 1e160
+        noise[4, column] = 0.0
+        spec = DenoiserSpec(
+            state_coef=np.ones((steps, dim)),
+            cond_coef=np.zeros((steps, dim)),
+            offset=np.zeros((steps, dim)),
+            variance=variance,
+            nonlinearity="tanh",
+        )
+        with np.errstate(over="ignore"), pytest.raises(ChainDivergenceError) as err:
+            run_chain(spec, np.zeros(dim), NoiseRecord(noise), position=7)
+        assert err.value.step == steps - 1
+        assert err.value.position == 7
+
     def test_outputs_replay_reparameterization_exactly(self):
         rng = np.random.default_rng(11)
         spec = random_denoiser(rng, 4, 2)
@@ -170,13 +199,13 @@ class TestRunChain:
 class TestChainPlan:
     @staticmethod
     def per_call_chain(spec, cond, noise, tau):
-        """Reference chain: every constant worked out per call, means by ``step_mean``."""
+        """Reference chain on numpy rows: constants per call, means by ``step_mean``."""
         variances = float(tau) ** 2 * spec.variance
         scales = np.sqrt(variances)
         means, outputs = np.empty(noise.block[1:].shape), np.empty(noise.block[1:].shape)
         x = noise.block[0]
         for row in range(spec.steps):
-            means[row] = spec.step_mean(row, x, cond)
+            means[row] = step_mean(spec, row, x, cond)
             x = outputs[row] = scales[row] * noise.block[row + 1] + means[row]
         return means, outputs, variances, float(0.5 * np.log(variances[:-1]).sum())
 
@@ -185,7 +214,7 @@ class TestChainPlan:
     def test_chain_bits_equal_the_per_call_formulas(self, tau, nonlinearity):
         rng = np.random.default_rng(round(tau * 1e7))
         for steps in range(2, 9):
-            for dim in range(1, 4):
+            for dim in (1, 2, 3, 8, 16):
                 spec = replace(random_denoiser(rng, steps, dim), nonlinearity=nonlinearity)
                 cond = rng.uniform(-1, 1, dim)
                 noise = draw_noise_record(steps, dim, rng)
@@ -195,6 +224,9 @@ class TestChainPlan:
                 )
                 assert np.array_equal(traj.means, means)
                 assert np.array_equal(traj.outputs, outputs)
+                for arr in (traj.means, traj.outputs):
+                    assert arr.dtype == np.float64 and arr.flags.c_contiguous
+                    assert not arr.flags.writeable
                 assert np.array_equal(traj.variances, variances)
                 assert traj.log_var_tail == log_var_tail
 
@@ -209,9 +241,16 @@ class TestChainPlan:
         assert cold.plan is spec.plan(0.7) and cold.plan is not a.plan
         assert not np.array_equal(cold.variances, a.variances)
         plan = a.plan
-        arrays = [plan.variances, plan.last_log_norm, plan.last_two_var]
-        for arr in arrays + [arr for row in plan.rows for arr in row]:
+        for arr in (plan.variances, plan.last_log_norm, plan.last_two_var):
             assert not arr.flags.writeable
+        # The per-step constants are immutable Python floats, one tuple per coordinate.
+        arrays = (spec.state_coef, spec.cond_coef, spec.offset, np.sqrt(plan.variances))
+        assert len(plan.columns) == spec.dim
+        for j, column in enumerate(plan.columns):
+            assert len(column) == spec.steps
+            for row, step in enumerate(column):
+                assert all(type(value) is float for value in step)
+                assert step == tuple(arr[row, j] for arr in arrays)
 
     @pytest.mark.parametrize("tau", [math.nan, 0.0, -0.0, -1.3])
     def test_bad_temperature_rejected_before_any_lookup(self, tau, monkeypatch):
@@ -275,7 +314,7 @@ class TestChainPlan:
 
 def final_step_logpdf(spec, cond, x_prev, x_out, temperature=1.0):
     """Final-step log-density of ``x_out`` given ``x_prev``, through the chain plan."""
-    mean = spec.step_mean(spec.steps - 1, np.asarray(x_prev, float), np.asarray(cond, float))
+    mean = step_mean(spec, spec.steps - 1, np.asarray(x_prev, float), np.asarray(cond, float))
     return spec.plan(temperature).last_logpdf(np.asarray(x_out, float), mean)
 
 

@@ -41,7 +41,13 @@ from cspdec.rng import PositionStreams, replicate_seed
 from cspdec.scenarios import decoupled_pair
 from cspdec.autoregressive import SequenceState, sample_token, target_only_generate
 
-from conftest import BELOW_FLOOR, JOBS, drop_whole_chain_variance_product, random_denoiser
+from conftest import (
+    BELOW_FLOOR,
+    JOBS,
+    drop_whole_chain_variance_product,
+    random_denoiser,
+    step_mean,
+)
 
 
 def fixed_gaussian_denoiser(mean, var, tail_var=1.0):
@@ -152,7 +158,7 @@ class TestAcceptanceLogRatio:
             traj_q = run_chain(draft, cond_q, noise, tau)
             x = traj_q.token
             lr, traj_p = acceptance_log_ratio(traj_q, target, cond_p, noise, tau)
-            p_mean = target.step_mean(steps - 1, traj_p.outputs[-2], cond_p)
+            p_mean = step_mean(target, steps - 1, traj_p.outputs[-2], cond_p)
             expected = (
                 tail_log_density_ratio(traj_q, traj_p)
                 + gaussian_logpdf(x, GaussianParams(p_mean, t2 * target.variance[-1]))
@@ -161,7 +167,7 @@ class TestAcceptanceLogRatio:
             assert lr == expected
 
             x_prev, x_out = rng.normal(size=dim), rng.normal(size=dim)
-            mean = target.step_mean(steps - 1, x_prev, cond_p)
+            mean = step_mean(target, steps - 1, x_prev, cond_p)
             assert target.plan(tau).last_logpdf(x_out, mean) == gaussian_logpdf(
                 x_out, GaussianParams(mean, t2 * target.variance[-1])
             )
@@ -375,13 +381,16 @@ class TestGenerate:
 
     def test_underflowing_temperature_raises_before_any_token(self, std_pair, monkeypatch):
         # 1e-170 squared is 0: every step variance would be 0, every tail term
-        # NaN, and verify_drafts would accept every draft.
+        # NaN, and verify_drafts would accept every draft.  The fake append
+        # raises, so a regression fails here instead of never reaching the length.
         target, draft, config = std_pair
-        appended = []
-        monkeypatch.setattr(SequenceState, "append", lambda self, *args: appended.append(args))
+
+        def refuse(self, *args):
+            raise AssertionError("a token was appended")
+
+        monkeypatch.setattr(SequenceState, "append", refuse)
         with pytest.raises(ValueError, match=BELOW_FLOOR.format("1e-170")):
             generate(target, draft, replace(config, temperature=1e-170, seed=7))
-        assert appended == []
 
     def test_temperature_below_the_floor_raises_before_any_token(self, monkeypatch):
         # At 1e-7 every tau^2 * var lies below the variance floor: a chain
