@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    LOG_2PI,
-    VARIANCE_FLOOR,
-    GaussianParams,
-    as_vector,
-    diag_logpdf_from_terms,
-    diag_variance_terms,
-)
+from .gaussian import LOG_2PI, VARIANCE_FLOOR, diag_variance_terms, vector_floats
 
 NONLINEARITIES = ("identity", "tanh")
 
@@ -64,17 +57,17 @@ class ChainPlan:
     Python floats in execution order, where ``scale`` is the square root of
     the step's ``variances`` entry; :func:`run_chain` reads nothing else per
     step.  ``log_var_tail`` is ``0.5 * sum(log variances)`` over all steps
-    but the last.  ``last_log_norm`` and ``last_two_var`` are the read-only
-    ``-0.5*log(2*pi*v)`` and ``2*v`` for the final step's variance ``v``.
-    Every entry of ``variances`` is at least ``VARIANCE_FLOOR``, so the
-    densities are those of the steps the chains sample.
+    but the last.  ``last_terms`` holds, for each coordinate, the Python
+    floats ``(-0.5*log(2*pi*v), 2*v)`` of the final step's variance ``v``,
+    read off numpy's arrays so they keep numpy's ``log`` bits.  Every entry
+    of ``variances`` is at least ``VARIANCE_FLOOR``, so the densities are
+    those of the steps the chains sample.
     """
 
     variances: np.ndarray
     columns: tuple[tuple[tuple[float, float, float, float], ...], ...]
     log_var_tail: float
-    last_log_norm: np.ndarray
-    last_two_var: np.ndarray
+    last_terms: tuple[tuple[float, float], ...]
 
     @classmethod
     def build(cls, spec: "DenoiserSpec", temperature: float) -> "ChainPlan":
@@ -88,22 +81,39 @@ class ChainPlan:
                 f"temperature {temperature!r} takes a step variance below the variance"
                 f" floor {VARIANCE_FLOOR:g} or to inf"
             )
-        last_log_norm, last_two_var = diag_variance_terms(variances[-1])
-        for arr in (variances, last_log_norm, last_two_var):
-            arr.flags.writeable = False
+        variances.flags.writeable = False
         arrays = (spec.state_coef, spec.cond_coef, spec.offset, np.sqrt(variances))
         per_coordinate = zip(*(arr.T.tolist() for arr in arrays))
+        log_norm, two_var = diag_variance_terms(variances[-1])
         return cls(
             variances=variances,
             columns=tuple(tuple(zip(*column)) for column in per_coordinate),
             log_var_tail=float(0.5 * np.log(variances[:-1]).sum()),
-            last_log_norm=last_log_norm,
-            last_two_var=last_two_var,
+            last_terms=tuple(zip(log_norm.tolist(), two_var.tolist())),
         )
 
-    def last_logpdf(self, x: np.ndarray, mean: np.ndarray) -> float:
-        """Final-step log-density of ``x`` around ``mean``, as ``gaussian_logpdf`` gives it."""
-        return diag_logpdf_from_terms(x, mean, self.last_log_norm, self.last_two_var)
+    def last_logpdf(self, x: list[float], mean: list[float]) -> float:
+        """Final-step log-density of the float row ``x`` around ``mean``.
+
+        It has the bits ``gaussian_logpdf`` gives.  Each term
+        ``log_norm - dev * dev / two_var`` takes the same IEEE double
+        operations as numpy's elementwise ones, in the same order, and the
+        terms are summed in numpy's order: ``np.add.reduce`` on float64 is a
+        pairwise sum whose base case, below 8 terms, adds left to right from
+        0.0, so fewer than 8 terms are added here in that loop and 8 or more
+        go to numpy.  The builtin ``sum`` is not used, because it is
+        compensated from Python 3.12 on.
+        """
+        terms = []
+        for (log_norm, two_var), xi, mi in zip(self.last_terms, x, mean, strict=True):
+            dev = xi - mi
+            terms.append(log_norm - dev * dev / two_var)
+        if len(terms) >= 8:
+            return float(np.add.reduce(terms))
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
 
 
 @dataclass(frozen=True)
@@ -255,7 +265,8 @@ def run_chain(
 ) -> DenoisingTrajectory:
     """Run the denoising chain on a fixed noise record.
 
-    The inputs are checked once on entry.  The chain then runs on Python
+    The inputs are checked once on entry; ``cond`` is read as floats, so the
+    caller's array is neither copied nor frozen.  The chain then runs on Python
     floats, one coordinate at a time, on the per-step constants of the
     denoiser's cached :class:`ChainPlan`: ``mean = a * x + c * cond + b``
     (then ``tanh``, if the denoiser has it) and ``x = scale * eps + mean``.
@@ -291,7 +302,7 @@ def run_chain(
     ChainDivergenceError
         If an output is not finite; it names the first step with one.
     """
-    cond = as_vector(cond, dim=spec.dim, name="cond")
+    cond = vector_floats(cond, dim=spec.dim, name="cond")
     block = noise.block
     shape = spec.state_coef.shape
     if block.shape != (shape[0] + 1, shape[1]):
@@ -303,7 +314,7 @@ def run_chain(
     # Row-major (T, d) values; coordinate j fills every dim-th slot from j.
     means = [0.0] * (steps * dim)
     outputs = [0.0] * (steps * dim)
-    columns = zip(plan.columns, cond.tolist(), block[0].tolist(), block[1:].T.tolist())
+    columns = zip(plan.columns, cond, block[0].tolist(), block[1:].T.tolist())
     for j, (column, k, x, eps) in enumerate(columns):
         column_means, column_outputs = [], []
         for (a, c, b, scale), e in zip(column, eps):
@@ -340,24 +351,6 @@ def tail_log_density_ratio(traj_q: DenoisingTrajectory, traj_p: DenoisingTraject
     if traj_q.steps != traj_p.steps or traj_q.dim != traj_p.dim:
         raise ValueError("trajectories must share step count and dimension")
     return traj_q.log_var_tail - traj_p.log_var_tail
-
-
-def analytic_marginal(spec: DenoiserSpec, cond, temperature: float = 1.0) -> GaussianParams:
-    """Exact Gaussian marginal of the chain output for affine chains.
-
-    Composes the affine-Gaussian steps from ``x_T ~ N(0, I)`` forward; only
-    valid when the nonlinearity is the identity.
-    """
-    if spec.nonlinearity != "identity":
-        raise ValueError("analytic marginal is only defined for affine (identity) chains")
-    cond = as_vector(cond, dim=spec.dim, name="cond")
-    variances = spec.plan(temperature).variances
-    mean = np.zeros(spec.dim)
-    var = np.ones(spec.dim)
-    for row in range(spec.steps):
-        mean = spec.state_coef[row] * mean + spec.cond_coef[row] * cond + spec.offset[row]
-        var = spec.state_coef[row] ** 2 * var + variances[row]
-    return GaussianParams(mean, var)
 
 
 def trajectory_logpdf_terms(traj: DenoisingTrajectory) -> np.ndarray:

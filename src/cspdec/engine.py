@@ -162,13 +162,14 @@ def aligned_log_ratio(
     The telescoped tail term ``log S`` of the two chains plus the final-step
     log-densities of ``x``: the target's by substitution into its final step
     given its own ``x_1``, the draft's under its own final step.  Both are
-    read off the trajectories' last means with the final-step terms of their
-    chain plans.  Verification evaluates it at the drafted token and
-    resampling at each candidate.
+    read off the trajectories' last means, as float rows, with the
+    final-step terms of their chain plans.  Verification evaluates it at the
+    drafted token and resampling at each candidate.
     """
     log_tail = tail_log_density_ratio(traj_q, traj_p)
-    log_p = traj_p.plan.last_logpdf(x, traj_p.means[-1])
-    log_q = traj_q.plan.last_logpdf(x, traj_q.means[-1])
+    x = x.tolist()
+    log_p = traj_p.plan.last_logpdf(x, traj_p.means[-1].tolist())
+    log_q = traj_q.plan.last_logpdf(x, traj_q.means[-1].tolist())
     return log_tail + log_p - log_q
 
 
@@ -233,7 +234,8 @@ def rejection_resample(
     the target chain, re-runs the draft chain on the same record (alignment,
     which supplies the tail term and the draft's final-step state), and
     accepts with the :func:`resample_threshold` of the
-    :func:`aligned_log_ratio` at the candidate.
+    :func:`aligned_log_ratio` at the candidate: when a uniform on [0, 1)
+    falls strictly below it, so a zero threshold never accepts.
 
     Returns the accepted token and the number of trials it took.
     """
@@ -244,7 +246,7 @@ def rejection_resample(
         traj_q = run_chain(draft, cond_q, record, temperature, position=position)
         alpha = resample_threshold(aligned_log_ratio(traj_q, traj_p, traj_p.token))
         threshold_sum += alpha
-        if rng.random() <= alpha:
+        if rng.random() < alpha:
             return traj_p.token, trial
     raise ResampleExhaustedError(
         trials=max_trials,

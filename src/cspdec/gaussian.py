@@ -7,6 +7,7 @@ an intermediate result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,8 @@ VARIANCE_FLOOR = 1e-12
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def as_vector(values, dim: int | None = None, name: str = "value") -> np.ndarray:
-    """Coerce to a finite, read-only 1-D float64 array (a token or d-vector)."""
+def _vector_array(values, dim: int | None, name: str) -> np.ndarray:
+    """``values`` as a shape-checked 1-D float64 array (0-d is one component), not copied."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -30,11 +31,28 @@ def as_vector(values, dim: int | None = None, name: str = "value") -> np.ndarray
         raise ValueError(f"{name} must have at least one component")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {dim}")
+    return arr
+
+
+def as_vector(values, dim: int | None = None, name: str = "value") -> np.ndarray:
+    """Coerce to a finite, read-only 1-D float64 array (a token or d-vector)."""
+    arr = _vector_array(values, dim, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite components")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def vector_floats(values, dim: int | None = None, name: str = "value") -> list[float]:
+    """The components of a d-vector as Python floats, checked as :func:`as_vector` checks it.
+
+    Nothing is copied into a new array or frozen, so a caller's array stays as it was.
+    """
+    floats = _vector_array(values, dim, name).tolist()
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{name} contains non-finite components")
+    return floats
 
 
 @dataclass(frozen=True)
@@ -67,28 +85,16 @@ class GaussianParams:
 def gaussian_logpdf(x, params: GaussianParams) -> float:
     """Exact log-density of ``x`` under a diagonal Gaussian, in nats."""
     x = as_vector(x, dim=params.dim, name="x")
-    return diag_logpdf_from_terms(x, params.mean, *diag_variance_terms(params.variance))
+    log_norm, two_var = diag_variance_terms(params.variance)
+    dev = x - params.mean
+    return float((log_norm - dev * dev / two_var).sum())
 
 
 def diag_variance_terms(variance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The variance-only parts of a diagonal log-density: ``-0.5*log(2*pi*v)`` and ``2*v``.
 
-    ``variance`` is already checked against ``VARIANCE_FLOOR``.  A caller that
-    evaluates many points under one variance computes these once; reading a
-    density off a trajectory's arrays this way gives the same bits as building
-    the parameters first.
+    ``variance`` is already checked against ``VARIANCE_FLOOR``.  A chain plan
+    computes these once for its final step, so its densities use the same
+    bits as :func:`gaussian_logpdf` does.
     """
     return -0.5 * (LOG_2PI + np.log(variance)), 2.0 * variance
-
-
-def diag_logpdf_from_terms(
-    x: np.ndarray, mean: np.ndarray, log_norm: np.ndarray, two_var: np.ndarray
-) -> float:
-    """``sum_i [log_norm_i - (x_i - mean_i)^2 / two_var_i]`` on checked arrays.
-
-    With the terms of :func:`diag_variance_terms` this is
-    ``sum_i [-0.5*log(2*pi*var_i) - (x_i - mean_i)^2 / (2*var_i)]``, computed
-    entirely in log space.
-    """
-    dev = x - mean
-    return float((log_norm - dev * dev / two_var).sum())

@@ -165,6 +165,24 @@ def full_chain_log_ratio(
     return float(p_terms[:-1].sum() + p_last - q_terms.sum())
 
 
+def analytic_marginal(spec: DenoiserSpec, cond, temperature: float = 1.0) -> GaussianParams:
+    """Exact Gaussian marginal of the chain output for affine chains.
+
+    Composes the affine-Gaussian steps from ``x_T ~ N(0, I)`` forward; only
+    valid when the nonlinearity is the identity.
+    """
+    if spec.nonlinearity != "identity":
+        raise ValueError("analytic marginal is only defined for affine (identity) chains")
+    cond = as_vector(cond, dim=spec.dim, name="cond")
+    variances = spec.plan(temperature).variances
+    mean = np.zeros(spec.dim)
+    var = np.ones(spec.dim)
+    for row in range(spec.steps):
+        mean = spec.state_coef[row] * mean + spec.cond_coef[row] * cond + spec.offset[row]
+        var = spec.state_coef[row] ** 2 * var + variances[row]
+    return GaussianParams(mean, var)
+
+
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic with asymptotic p-value."""
     a = np.asarray(a, dtype=np.float64)

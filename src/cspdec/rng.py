@@ -14,14 +14,40 @@ _POSITION_TAG = 101
 _REPLICATE_TAG = 211
 
 
+_WORD_MASK = 0xFFFFFFFF
+
+
+def _entropy_words(keys) -> np.ndarray:
+    """The ``uint32`` entropy words ``SeedSequence`` derives from a list of integer keys.
+
+    numpy turns each non-negative integer of an entropy list into its
+    little-endian 32-bit words, at least one per integer (0 is one zero
+    word), and concatenates them; a ``uint32`` array it takes as these words
+    directly.  So ``SeedSequence(_entropy_words(keys))`` has the same pool,
+    and seeds the same streams, as ``SeedSequence([int(k) for k in keys])``,
+    without numpy's per-integer coercion.
+    """
+    words = []
+    for key in keys:
+        key = int(key)
+        if key < 0:
+            raise ValueError(f"expected non-negative integer keys, got {key}")
+        words.append(key & _WORD_MASK)
+        key >>= 32
+        while key:
+            words.append(key & _WORD_MASK)
+            key >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 def substream(*keys: int) -> np.random.Generator:
     """Generator seeded from an ordered tuple of non-negative integer keys."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
+    return np.random.default_rng(np.random.SeedSequence(_entropy_words(keys)))
 
 
 def derive_seed(*keys: int) -> int:
     """A uint64 seed deterministically derived from integer keys."""
-    state = np.random.SeedSequence([int(k) for k in keys]).generate_state(2)
+    state = np.random.SeedSequence(_entropy_words(keys)).generate_state(2)
     return (int(state[0]) << 32) | int(state[1])
 
 

@@ -12,8 +12,8 @@ from cspdec.autoregressive import (
     sample_token,
     target_only_generate,
 )
-from cspdec.diffusion import analytic_marginal, draw_noise_record, run_chain
-from cspdec.oracle import empirical_acceptance
+from cspdec.diffusion import draw_noise_record, run_chain
+from cspdec.oracle import analytic_marginal, empirical_acceptance
 from cspdec.rng import PositionStreams
 
 

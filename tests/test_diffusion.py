@@ -11,14 +11,20 @@ from cspdec.diffusion import (
     ChainPlan,
     DenoiserSpec,
     NoiseRecord,
-    analytic_marginal,
     draw_noise_record,
     run_chain,
     tail_log_density_ratio,
     trajectory_logpdf_terms,
 )
 from cspdec.engine import acceptance_log_ratio
-from cspdec.gaussian import LOG_2PI, VARIANCE_FLOOR, GaussianParams, gaussian_logpdf
+from cspdec.gaussian import (
+    LOG_2PI,
+    VARIANCE_FLOOR,
+    GaussianParams,
+    as_vector,
+    gaussian_logpdf,
+)
+from cspdec.oracle import analytic_marginal
 
 from conftest import BELOW_FLOOR, random_denoiser, step_mean
 
@@ -126,6 +132,41 @@ class TestRunChain:
         b = run_chain(spec, cond, noise, temperature=1.3)
         assert np.array_equal(a.outputs, b.outputs)
         assert a.log_var_tail == b.log_var_tail
+
+    def test_cond_is_read_without_a_copy_or_a_freeze(self):
+        rng = np.random.default_rng(31)
+        spec = random_denoiser(rng, 4, 3)
+        noise = draw_noise_record(4, 3, rng)
+        cond = rng.uniform(-1, 1, 3)
+        before = cond.copy()
+        traj = run_chain(spec, cond, noise)
+        assert cond.flags.writeable and cond.base is None
+        assert np.array_equal(cond, before)
+        from_list = run_chain(spec, cond.tolist(), noise)
+        assert np.array_equal(from_list.outputs, traj.outputs)
+        cond[...] = 9.0
+        assert np.array_equal(run_chain(spec, before, noise).outputs, traj.outputs)
+
+    def test_zero_d_cond_is_one_component_at_d_1(self):
+        rng = np.random.default_rng(32)
+        spec = random_denoiser(rng, 3, 1)
+        noise = draw_noise_record(3, 1, rng)
+        want = run_chain(spec, [0.4], noise).outputs
+        for cond in (0.4, np.float64(0.4), np.array(0.4)):
+            assert np.array_equal(run_chain(spec, cond, noise).outputs, want)
+
+    @pytest.mark.parametrize(
+        "cond",
+        [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0], [0.0], [0.0, 0.0, 0.0],
+         [[0.0, 0.0]], [], 0.5],
+    )
+    def test_bad_cond_rejected_with_the_as_vector_message(self, cond):
+        spec = passthrough_spec(steps=2, dim=2)
+        noise = draw_noise_record(2, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError) as want:
+            as_vector(cond, dim=2, name="cond")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            run_chain(spec, cond, noise)
 
     def test_divergence_names_the_step(self):
         spec = DenoiserSpec(
@@ -241,8 +282,7 @@ class TestChainPlan:
         assert cold.plan is spec.plan(0.7) and cold.plan is not a.plan
         assert not np.array_equal(cold.variances, a.variances)
         plan = a.plan
-        for arr in (plan.variances, plan.last_log_norm, plan.last_two_var):
-            assert not arr.flags.writeable
+        assert not plan.variances.flags.writeable
         # The per-step constants are immutable Python floats, one tuple per coordinate.
         arrays = (spec.state_coef, spec.cond_coef, spec.offset, np.sqrt(plan.variances))
         assert len(plan.columns) == spec.dim
@@ -290,8 +330,9 @@ class TestChainPlan:
             built += 1
             last = plan.variances[-1]
             assert (plan.variances >= VARIANCE_FLOOR).all()
-            assert np.array_equal(plan.last_two_var, 2 * last)
-            assert np.array_equal(plan.last_log_norm, -0.5 * (LOG_2PI + np.log(last)))
+            log_norm = -0.5 * (LOG_2PI + np.log(last))
+            assert plan.last_terms == tuple(zip(log_norm.tolist(), (2 * last).tolist()))
+            assert all(type(value) is float for terms in plan.last_terms for value in terms)
         assert built and refused
 
     def test_plans_stay_out_of_fields_and_pickles(self):
@@ -315,7 +356,7 @@ class TestChainPlan:
 def final_step_logpdf(spec, cond, x_prev, x_out, temperature=1.0):
     """Final-step log-density of ``x_out`` given ``x_prev``, through the chain plan."""
     mean = step_mean(spec, spec.steps - 1, np.asarray(x_prev, float), np.asarray(cond, float))
-    return spec.plan(temperature).last_logpdf(np.asarray(x_out, float), mean)
+    return spec.plan(temperature).last_logpdf(np.asarray(x_out, float).tolist(), mean.tolist())
 
 
 class TestLastStepLogpdf:
@@ -335,6 +376,19 @@ class TestLastStepLogpdf:
             traj.token, GaussianParams(traj.means[-1], traj.variances[-1])
         )
         assert via_substitution == pytest.approx(via_record, abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-5])
+    def test_float_density_has_the_bits_of_gaussian_logpdf(self, tau):
+        # d = 1..20 crosses numpy's pairwise-sum base case of 8 terms.
+        rng = np.random.default_rng(int(tau * 1e6) + 23)
+        for dim in range(1, 21):
+            for _ in range(10):
+                plan = random_denoiser(rng, 3, dim).plan(tau)
+                mean = rng.uniform(-2.0, 2.0, dim)
+                spread = 10.0 ** rng.uniform(-6.0, 1.0, dim)
+                x = mean + spread * rng.standard_normal(dim)
+                expected = gaussian_logpdf(x, GaussianParams(mean, plan.variances[-1]))
+                assert plan.last_logpdf(x.tolist(), mean.tolist()) == expected
 
     def test_quarter_variance_point(self):
         # 1-D normal with mean 0, var 0.25 evaluated at 0.5

@@ -168,7 +168,7 @@ class TestAcceptanceLogRatio:
 
             x_prev, x_out = rng.normal(size=dim), rng.normal(size=dim)
             mean = step_mean(target, steps - 1, x_prev, cond_p)
-            assert target.plan(tau).last_logpdf(x_out, mean) == gaussian_logpdf(
+            assert target.plan(tau).last_logpdf(x_out.tolist(), mean.tolist()) == gaussian_logpdf(
                 x_out, GaussianParams(mean, t2 * target.variance[-1])
             )
 
@@ -242,6 +242,25 @@ class TestRejectionResample:
             )
         assert err.value.trials == 64
         assert err.value.mean_threshold == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_uniform_never_accepts_at_a_zero_threshold(self):
+        # Identical models make every threshold exactly 0; a uniform of 0.0
+        # must not accept a candidate from a residual that has no mass.
+        class ZeroUniforms:
+            def __init__(self, rng):
+                self.standard_normal = rng.standard_normal
+
+            def random(self):
+                return 0.0
+
+        target, draft = decoupled_pair(0.0, 1.0, 0.0, 1.0)
+        rng = ZeroUniforms(np.random.default_rng(2))
+        with pytest.raises(ResampleExhaustedError) as err:
+            rejection_resample(
+                target.denoiser, [0.0], draft.denoiser, [0.0], 1.0, rng, max_trials=5
+            )
+        assert err.value.trials == 5
+        assert err.value.mean_threshold == 0.0
 
     def test_each_trial_threshold_is_the_verification_ratio_of_its_candidate(
         self, monkeypatch
