@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .diffusion import DenoiserSpec, DenoisingTrajectory, draw_noise_record, run_chain
-from .gaussian import as_vector
+from .gaussian import as_vector, vector_floats
 from .rng import PositionStreams
 
 # Token origins, recorded per position in generation order.
@@ -31,6 +31,12 @@ class ARBackboneSpec:
 
     ``cond_0 = prefix`` and ``cond_i = g(weight * x_{i-1} + bias)`` for i >= 1,
     with g either the identity or tanh.
+
+    The arrays are copies of the caller's, frozen.  :func:`condition` reads
+    float copies of them, made once here: ``prefix_floats``, the prefix as a
+    tuple of floats, and ``affine_floats``, one ``(weight, bias)`` pair of
+    floats per coordinate.  They are plain attributes, not fields, so they
+    take no part in ``dataclasses.asdict`` or equality.
     """
 
     prefix: np.ndarray
@@ -47,6 +53,8 @@ class ARBackboneSpec:
         object.__setattr__(self, "prefix", p)
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "prefix_floats", tuple(p.tolist()))
+        object.__setattr__(self, "affine_floats", tuple(zip(w.tolist(), b.tolist())))
 
     @property
     def dim(self) -> int:
@@ -73,29 +81,36 @@ class Model:
         return self.denoiser.dim
 
 
-def condition(backbone: ARBackboneSpec, tokens: Sequence[np.ndarray], i: int) -> np.ndarray:
-    """Conditioning vector for position ``i`` given the tokens before it."""
+def condition(backbone: ARBackboneSpec, tokens: Sequence, i: int) -> tuple[float, ...]:
+    """Conditioning vector for position ``i`` given the tokens before it, as a tuple of floats.
+
+    ``weight * x + bias`` (then ``tanh``, if the backbone has it) is taken one
+    coordinate at a time on the backbone's float copies, with the IEEE double
+    operations of numpy's elementwise formula in the same order, and numpy's
+    ``tanh`` applied to the scalar, so each component has that formula's bits.
+    """
     if i < 0 or i > len(tokens):
         raise ValueError(f"position {i} out of range for {len(tokens)} tokens")
     if i == 0:
-        return backbone.prefix
-    c = backbone.weight * tokens[i - 1] + backbone.bias
+        return backbone.prefix_floats
+    pairs = zip(backbone.affine_floats, tokens[i - 1], strict=True)
     if backbone.nonlinearity == "tanh":
-        c = np.tanh(c)
-    return c
+        return tuple([float(np.tanh(w * x + b)) for (w, b), x in pairs])
+    return tuple([w * x + b for (w, b), x in pairs])
 
 
 class SequenceState:
     """Tokens generated so far, with the origin of each one.
 
-    Owned by a single generation run; appends are the only mutation.
+    Owned by a single generation run; appends are the only mutation.  Each
+    token is kept as a tuple of floats, all of the first token's length.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self.tokens: list[np.ndarray] = []
+        self.tokens: list[tuple[float, ...]] = []
         self.origins: list[str] = []
 
     def __len__(self) -> int:
@@ -105,26 +120,33 @@ class SequenceState:
     def remaining(self) -> int:
         return self.capacity - len(self.tokens)
 
-    def append(self, token: np.ndarray, origin: str) -> None:
+    def append(self, token, origin: str) -> None:
+        """Append ``token`` with its origin.
+
+        A tuple of finite floats, such as a chain's token, is kept as it is;
+        anything else (an array, say) is checked and copied into one.  Every
+        token must have the first one's length.
+        """
         if origin not in ORIGINS:
             raise ValueError(f"unknown origin {origin!r}")
         if len(self.tokens) >= self.capacity:
             raise ValueError("sequence is already at capacity")
-        self.tokens.append(as_vector(token, name="token"))
+        dim = len(self.tokens[0]) if self.tokens else None
+        self.tokens.append(vector_floats(token, dim=dim, name="token"))
         self.origins.append(origin)
 
     def tokens_array(self) -> np.ndarray:
-        """Stacked ``(n, d)`` view of the tokens."""
-        return np.stack(self.tokens) if self.tokens else np.empty((0, 0))
+        """The tokens as a new ``(n, d)`` float64 array."""
+        return np.array(self.tokens, dtype=np.float64) if self.tokens else np.empty((0, 0))
 
 
 def sample_token(
     model: Model,
-    tokens: Sequence[np.ndarray],
+    tokens: Sequence,
     position: int,
     streams: PositionStreams,
     temperature: float,
-) -> tuple[np.ndarray, DenoisingTrajectory]:
+) -> tuple[tuple[float, ...], DenoisingTrajectory]:
     """Sample ``model``'s token at ``position`` on a fresh record from the position's stream.
 
     Returns the conditioning vector and the trajectory: its ``token`` is the

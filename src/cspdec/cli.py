@@ -10,7 +10,7 @@ Subcommands::
 Exit codes: 0 success (check-dist: all positions pass), 1 check-dist found a
 failing position, 2 usage or config error, 3 numerical divergence or
 resampling exhaustion.  Every command is byte-reproducible from (config, seed).
-Only check-dist loads scipy, for its KS statistics.
+Only check-dist loads scipy (``scipy.special``, never ``scipy.stats``), for its KS statistics.
 """
 
 from __future__ import annotations

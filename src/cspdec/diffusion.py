@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -92,8 +93,8 @@ class ChainPlan:
             last_terms=tuple(zip(log_norm.tolist(), two_var.tolist())),
         )
 
-    def last_logpdf(self, x: list[float], mean: list[float]) -> float:
-        """Final-step log-density of the float row ``x`` around ``mean``.
+    def last_logpdf(self, x: Sequence[float], mean: Sequence[float]) -> float:
+        """Final-step log-density of the float row ``x`` around the float row ``mean``.
 
         It has the bits ``gaussian_logpdf`` gives.  Each term
         ``log_norm - dev * dev / two_var`` takes the same IEEE double
@@ -216,23 +217,50 @@ def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRe
     return record
 
 
+def _frozen_rows(columns: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    """A new read-only C-contiguous ``(T, d)`` float64 array from ``d`` columns of ``T`` floats."""
+    rows = np.array(columns, dtype=np.float64).T.copy()
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class DenoisingTrajectory:
     """Full record of one chain run.
 
     The mean of every step, the :class:`NoiseRecord` that drove it, every
-    intermediate state, and the :class:`ChainPlan` it ran on.  ``variances``
-    (temperature already folded in) and ``log_var_tail`` are the plan's,
-    shared read-only by every chain of that denoiser at that temperature;
-    ``log_var_tail`` is ``0.5 * sum(log var)`` over all steps except the
-    last, the quantity whose difference between two aligned chains is the
-    telescoped density-ratio contribution of those steps.
+    intermediate state, and the :class:`ChainPlan` it ran on.
+    ``mean_columns`` and ``output_columns`` hold, for each coordinate, the
+    tuple of its step means and of its states, as Python floats in execution
+    order; the engine reads nothing else.  ``means`` and ``outputs`` are the
+    same values as read-only C-contiguous ``(T, d)`` float64 arrays, built the
+    first time they are read.  ``variances`` (temperature already folded in)
+    and ``log_var_tail`` are the plan's, shared read-only by every chain of
+    that denoiser at that temperature; ``log_var_tail`` is
+    ``0.5 * sum(log var)`` over all steps except the last, the quantity whose
+    difference between two aligned chains is the telescoped density-ratio
+    contribution of those steps.
     """
 
     noise: NoiseRecord
-    means: np.ndarray
-    outputs: np.ndarray
+    mean_columns: tuple[tuple[float, ...], ...]
+    output_columns: tuple[tuple[float, ...], ...]
     plan: ChainPlan
+
+    def _rows(self, key: str, columns: tuple[tuple[float, ...], ...]) -> np.ndarray:
+        # The frozen dataclass's __setattr__ is bypassed: the cache is no field.
+        rows = self.__dict__.get(key)
+        if rows is None:
+            rows = self.__dict__[key] = _frozen_rows(columns)
+        return rows
+
+    @property
+    def means(self) -> np.ndarray:
+        return self._rows("_means", self.mean_columns)
+
+    @property
+    def outputs(self) -> np.ndarray:
+        return self._rows("_outputs", self.output_columns)
 
     @property
     def variances(self) -> np.ndarray:
@@ -244,16 +272,21 @@ class DenoisingTrajectory:
 
     @property
     def steps(self) -> int:
-        return self.means.shape[0]
+        return len(self.mean_columns[0])
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return len(self.mean_columns)
 
     @property
-    def token(self) -> np.ndarray:
-        """The chain output ``x_0``."""
-        return self.outputs[-1]
+    def token(self) -> tuple[float, ...]:
+        """The chain output ``x_0``, as a tuple of floats."""
+        return tuple([column[-1] for column in self.output_columns])
+
+    @property
+    def final_mean(self) -> tuple[float, ...]:
+        """The last step's mean, as a tuple of floats."""
+        return tuple([column[-1] for column in self.mean_columns])
 
 
 def run_chain(
@@ -266,16 +299,17 @@ def run_chain(
     """Run the denoising chain on a fixed noise record.
 
     The inputs are checked once on entry; ``cond`` is read as floats, so the
-    caller's array is neither copied nor frozen.  The chain then runs on Python
-    floats, one coordinate at a time, on the per-step constants of the
-    denoiser's cached :class:`ChainPlan`: ``mean = a * x + c * cond + b``
-    (then ``tanh``, if the denoiser has it) and ``x = scale * eps + mean``.
-    No step mixes coordinates, and a Python float ``*`` or ``+`` is the same
-    IEEE double operation as numpy's elementwise float64 one, evaluated in
-    the same order, so every mean and output has the bits of the row-wise
-    numpy formulas.  ``tanh`` is numpy's, applied to the scalar, because
-    ``math.tanh`` can differ from it in the last bit.  The outputs are
-    checked for divergence once, after the last step.
+    caller's array is neither copied nor frozen, and a float tuple is read as
+    it is.  The chain then runs on Python floats, one coordinate at a time,
+    on the per-step constants of the denoiser's cached :class:`ChainPlan`:
+    ``mean = a * x + c * cond + b`` (then ``tanh``, if the denoiser has it)
+    and ``x = scale * eps + mean``.  No step mixes coordinates, and a Python
+    float ``*`` or ``+`` is the same IEEE double operation as numpy's
+    elementwise float64 one, evaluated in the same order, so every mean and
+    output has the bits of the row-wise numpy formulas.  ``tanh`` is numpy's,
+    applied to the scalar, because ``math.tanh`` can differ from it in the
+    last bit.  Each coordinate's outputs are checked for divergence once,
+    after its last step.
 
     Parameters
     ----------
@@ -294,13 +328,14 @@ def run_chain(
     Returns
     -------
     DenoisingTrajectory
-        Fresh C-contiguous, read-only ``(T, d)`` float64 ``means`` and
-        ``outputs``; its ``variances`` is the plan's shared read-only array.
+        Its means and outputs as float columns; its ``variances`` is the
+        plan's shared read-only array.
 
     Raises
     ------
     ChainDivergenceError
-        If an output is not finite; it names the first step with one.
+        If an output is not finite; it names the first step with one, over
+        all coordinates.
     """
     cond = vector_floats(cond, dim=spec.dim, name="cond")
     block = noise.block
@@ -309,34 +344,32 @@ def run_chain(
         raise ValueError(f"noise block shape {block.shape} does not fit denoiser shape {shape}")
     plan = spec.plan(temperature)
 
-    steps, dim = shape
+    steps = shape[0]
     tanh = spec.nonlinearity == "tanh"
-    # Row-major (T, d) values; coordinate j fills every dim-th slot from j.
-    means = [0.0] * (steps * dim)
-    outputs = [0.0] * (steps * dim)
-    columns = zip(plan.columns, cond, block[0].tolist(), block[1:].T.tolist())
-    for j, (column, k, x, eps) in enumerate(columns):
-        column_means, column_outputs = [], []
+    mean_columns, output_columns = [], []
+    # The execution index of the first non-finite output over all coordinates:
+    # a later one can come back finite through tanh.
+    first = steps
+    for column, k, (x, *eps) in zip(plan.columns, cond, block.T.tolist()):
+        means, outputs = [], []
         for (a, c, b, scale), e in zip(column, eps):
             mean = a * x + c * k + b
             if tanh:
                 mean = float(np.tanh(mean))
             x = scale * e + mean
-            column_means.append(mean)
-            column_outputs.append(x)
-        means[j::dim] = column_means
-        outputs[j::dim] = column_outputs
-    if not all(map(math.isfinite, outputs)):
-        # Name the first non-finite row: a later one can come back finite
-        # through tanh.
-        first = next(i for i, v in enumerate(outputs) if not math.isfinite(v)) // dim
+            means.append(mean)
+            outputs.append(x)
+        if not all(map(math.isfinite, outputs)):
+            first = min(first, next(i for i, v in enumerate(outputs) if not math.isfinite(v)))
+        mean_columns.append(tuple(means))
+        output_columns.append(tuple(outputs))
+    if first < steps:
         raise ChainDivergenceError(step=steps - first, position=position)
-    # Freeze the flat arrays, so that the (T, d) views and their bases are read-only.
-    means, outputs = np.array(means), np.array(outputs)
-    means.flags.writeable = False
-    outputs.flags.writeable = False
     return DenoisingTrajectory(
-        noise=noise, means=means.reshape(shape), outputs=outputs.reshape(shape), plan=plan
+        noise=noise,
+        mean_columns=tuple(mean_columns),
+        output_columns=tuple(output_columns),
+        plan=plan,
     )
 
 

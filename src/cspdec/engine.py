@@ -154,22 +154,19 @@ class RunStats:
         return asdict(self)
 
 
-def aligned_log_ratio(
-    traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory, x: np.ndarray
-) -> float:
+def aligned_log_ratio(traj_q: DenoisingTrajectory, traj_p: DenoisingTrajectory, x) -> float:
     """Trajectory-aligned log density ratio ``log(S * p(x) / q(x))``.
 
     The telescoped tail term ``log S`` of the two chains plus the final-step
-    log-densities of ``x``: the target's by substitution into its final step
-    given its own ``x_1``, the draft's under its own final step.  Both are
-    read off the trajectories' last means, as float rows, with the
-    final-step terms of their chain plans.  Verification evaluates it at the
-    drafted token and resampling at each candidate.
+    log-densities of the float row ``x``: the target's by substitution into
+    its final step given its own ``x_1``, the draft's under its own final
+    step.  Both are read off the trajectories' final means, as float rows,
+    with the final-step terms of their chain plans.  Verification evaluates
+    it at the drafted token and resampling at each candidate.
     """
     log_tail = tail_log_density_ratio(traj_q, traj_p)
-    x = x.tolist()
-    log_p = traj_p.plan.last_logpdf(x, traj_p.means[-1].tolist())
-    log_q = traj_q.plan.last_logpdf(x, traj_q.means[-1].tolist())
+    log_p = traj_p.plan.last_logpdf(x, traj_p.final_mean)
+    log_q = traj_q.plan.last_logpdf(x, traj_q.final_mean)
     return log_tail + log_p - log_q
 
 
@@ -227,7 +224,7 @@ def rejection_resample(
     rng: np.random.Generator,
     max_trials: int = 10_000,
     position: int | None = None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[tuple[float, ...], int]:
     """Sample from the residual distribution by acceptance-rejection.
 
     Each trial draws an entirely fresh noise record, takes the candidate from
@@ -237,7 +234,7 @@ def rejection_resample(
     :func:`aligned_log_ratio` at the candidate: when a uniform on [0, 1)
     falls strictly below it, so a zero threshold never accepts.
 
-    Returns the accepted token and the number of trials it took.
+    Returns the accepted token, a tuple of floats, and the number of trials it took.
     """
     threshold_sum = 0.0
     for trial in range(1, max_trials + 1):
@@ -290,7 +287,7 @@ def speculative_step(
     # Verification phase: target conditions on the same prefix-plus-drafts.
     log_ratios: list[float] = []
     uniforms: list[float] = []
-    cond_ps: list[np.ndarray] = []
+    cond_ps: list[tuple[float, ...]] = []
     for pos, (_, traj_q) in enumerate(drafts, start=base):
         cond_p = condition(target.backbone, context, pos)
         noise = (

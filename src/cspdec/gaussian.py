@@ -44,15 +44,24 @@ def as_vector(values, dim: int | None = None, name: str = "value") -> np.ndarray
     return arr
 
 
-def vector_floats(values, dim: int | None = None, name: str = "value") -> list[float]:
-    """The components of a d-vector as Python floats, checked as :func:`as_vector` checks it.
+def vector_floats(values, dim: int | None = None, name: str = "value") -> tuple[float, ...]:
+    """A d-vector's components as a tuple of Python floats, checked as :func:`as_vector` checks it.
 
-    Nothing is copied into a new array or frozen, so a caller's array stays as it was.
+    A tuple of finite reals of the right length, which is how the engine
+    carries its tokens and conditions, is returned as it is.  Anything else is
+    read through numpy into a new tuple; a caller's array is neither copied
+    into a new array nor frozen.
     """
+    if type(values) is tuple and values and (dim is None or len(values) == dim):
+        try:
+            if all(map(math.isfinite, values)):
+                return values
+        except (TypeError, OverflowError):
+            pass  # not a tuple of reals: numpy reads it, or says why it cannot
     floats = _vector_array(values, dim, name).tolist()
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"{name} contains non-finite components")
-    return floats
+    return tuple(floats)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ residual distribution and its normalizer, a term-by-term chain-ratio
 computation that never uses the telescoped shortcut, and standard two-sample
 statistics.  The engine is judged against these, never the other way around.
 
-scipy is imported inside the two functions that use it, so importing this
-module (and every command that does not run a statistical test) never loads it.
+``scipy.special`` is imported inside the two functions that use it, so
+importing this module (and every command that does not run a statistical
+test) never loads scipy, and nothing here loads ``scipy.stats``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -184,15 +186,31 @@ def analytic_marginal(spec: DenoiserSpec, cond, temperature: float = 1.0) -> Gau
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic with asymptotic p-value."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Two-sample Kolmogorov-Smirnov statistic with its asymptotic p-value.
+
+    ``D`` is computed as ``scipy.stats.ks_2samp`` computes it: both samples
+    sorted, their empirical CDFs evaluated on the pooled sample with
+    ``searchsorted(side="right")`` (so ties are handled), and ``D`` the larger
+    of the two signed gaps.  The p-value is the limiting Kolmogorov law at
+    ``sqrt(n*m/(n+m)) * D``, ``scipy.special.kolmogorov``, the law that
+    :func:`ks_critical_value` inverts.  It is not scipy's ``method="asymp"``
+    value, which takes the finite-sample one-sample law at the rounded
+    effective size: at ``n = m = 1500`` and ``D = 0.038`` the two read 0.2289
+    and 0.2232.
+    """
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be non-empty")
-    from scipy import stats
+    from scipy import special
 
-    result = stats.ks_2samp(a, b, method="asymp")
-    return float(result.statistic), float(result.pvalue)
+    n, m = a.shape[0], b.shape[0]
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / n
+    cdf_b = np.searchsorted(b, pooled, side="right") / m
+    gaps = cdf_a - cdf_b
+    statistic = max(float(np.clip(-gaps.min(), 0.0, 1.0)), float(gaps.max()))
+    return statistic, float(special.kolmogorov(math.sqrt(n * m / (n + m)) * statistic))
 
 
 def ks_critical_value(n: int, m: int, significance: float) -> float:
@@ -253,9 +271,9 @@ def chi_square_critical(df: int, significance: float) -> float:
         raise ValueError("significance must lie in (0, 1)")
     if not df >= 1:
         raise ValueError(f"df must be >= 1, got {df!r}")
-    from scipy import stats
+    from scipy import special
 
-    return float(stats.chi2.ppf(1.0 - significance, df))
+    return float(2.0 * special.gammaincinv(df / 2.0, 1.0 - significance))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -6,6 +9,7 @@ from cspdec.autoregressive import (
     ARBackboneSpec,
     PREFILLED,
     TARGET_FALLTHROUGH,
+    SequenceState,
     condition,
     prefill,
     prefill_count,
@@ -13,6 +17,7 @@ from cspdec.autoregressive import (
     target_only_generate,
 )
 from cspdec.diffusion import draw_noise_record, run_chain
+from cspdec.gaussian import as_vector
 from cspdec.oracle import analytic_marginal, empirical_acceptance
 from cspdec.rng import PositionStreams
 
@@ -54,6 +59,71 @@ class TestCondition:
             prefix=[0.0], weight=[2.0], bias=[1.0], nonlinearity="tanh"
         )
         assert condition(backbone, [np.array([3.0])], 1)[0] == pytest.approx(np.tanh(7.0))
+
+    @pytest.mark.parametrize("nonlinearity", ["identity", "tanh"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+    def test_float_condition_has_the_bits_of_the_numpy_formula(self, nonlinearity, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(50):
+            backbone = ARBackboneSpec(
+                prefix=rng.uniform(-1, 1, dim),
+                weight=rng.uniform(-2, 2, dim),
+                bias=rng.uniform(-1, 1, dim),
+                nonlinearity=nonlinearity,
+            )
+            token = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 1, dim)
+            want = backbone.weight * token + backbone.bias
+            if nonlinearity == "tanh":
+                want = np.tanh(want)
+            for given in (token, tuple(token.tolist())):
+                got = condition(backbone, [given], 1)
+                assert type(got) is tuple and len(got) == dim
+                assert np.array_equal(got, want)
+            first = condition(backbone, [], 0)
+            assert first == tuple(backbone.prefix.tolist())
+            assert all(type(value) is float for value in first)
+
+
+class TestSequenceState:
+    @pytest.mark.parametrize(
+        "token",
+        [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (), (0.5,), (0.0, 1.0, 2.0)],
+    )
+    def test_bad_float_tuple_rejected_with_the_as_vector_message(self, token):
+        state = SequenceState(capacity=3)
+        state.append((0.1, 0.2), TARGET_FALLTHROUGH)
+        with pytest.raises(ValueError) as want:
+            as_vector(token, dim=2, name="token")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            state.append(token, TARGET_FALLTHROUGH)
+        assert state.tokens == [(0.1, 0.2)] and len(state.origins) == 1
+
+    def test_float_tuple_is_kept_as_it_is(self):
+        state = SequenceState(capacity=2)
+        token = (0.25, -1.5)
+        state.append(token, TARGET_FALLTHROUGH)
+        assert state.tokens[0] is token
+
+    def test_outside_array_is_accepted_and_copied(self):
+        state = SequenceState(capacity=2)
+        token = np.array([0.25, -1.5])
+        state.append(token, TARGET_FALLTHROUGH)
+        state.append([1, 2], TARGET_FALLTHROUGH)
+        token[0] = 9.0
+        assert state.tokens == [(0.25, -1.5), (1.0, 2.0)]
+        assert all(type(v) is float for t in state.tokens for v in t)
+        array = state.tokens_array()
+        assert array.dtype == np.float64 and array.shape == (2, 2)
+        assert np.array_equal(array, [[0.25, -1.5], [1.0, 2.0]])
+
+    def test_bad_array_rejected_with_the_as_vector_message(self):
+        state = SequenceState(capacity=2)
+        for token in (np.array([math.nan]), np.zeros((1, 1)), np.array([])):
+            with pytest.raises(ValueError) as want:
+                as_vector(token, name="token")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                state.append(token, TARGET_FALLTHROUGH)
+        assert len(state) == 0 and state.tokens_array().shape == (0, 0)
 
 
 class TestTargetOnlyGenerate:

@@ -567,6 +567,48 @@ class TestByteStability:
         assert digest == self.DIGESTS[(command, scenario, fmt)]
 
 
+    # A d = 3 pair with tanh backbones and tanh denoisers, so that a mix-up of
+    # rows and columns, which the d = 1 digests above cannot show, changes the
+    # output.  Its tail variances are shared; the final ones differ.
+    D3_PAIR = {
+        "schema_version": 1, "T": 3, "d": 3,
+        "run": {"gamma": 3, "length": 5, "rho": 0.2, "temperature": 1.0,
+                "max_resample_trials": 10000, "seed": 0},
+        "target": {
+            "backbone": {"prefix": [0.25, -0.4, 0.1], "weight": [0.55, -0.3, 0.8],
+                         "bias": [0.1, 0.0, -0.2], "nonlinearity": "tanh"},
+            "denoiser": {
+                "state_coef": [[0.9, -0.5, 0.3], [0.55, 0.7, -0.4], [0.35, 0.2, 0.6]],
+                "cond_coef": [[0.5, 0.4, -0.6], [0.35, -0.2, 0.5], [0.6, 0.9, 0.25]],
+                "offset": [[0.0, 0.2, -0.1], [0.1, -0.3, 0.0], [0.05, 0.15, -0.25]],
+                "variance": [[0.7, 0.5, 0.9], [0.4, 0.6, 0.3], [0.2, 0.35, 0.25]],
+                "nonlinearity": "tanh"},
+        },
+        "draft": {
+            "backbone": {"prefix": [-0.15, -0.2, 0.3], "weight": [0.45, -0.1, 0.7],
+                         "bias": [0.18, 0.05, -0.1], "nonlinearity": "tanh"},
+            "denoiser": {
+                "state_coef": [[0.75, -0.4, 0.2], [0.6, 0.5, -0.3], [0.45, 0.1, 0.5]],
+                "cond_coef": [[0.4, 0.5, -0.5], [0.3, -0.1, 0.6], [0.5, 0.8, 0.3]],
+                "offset": [[0.1, 0.1, 0.0], [0.0, -0.2, 0.1], [0.18, 0.05, -0.2]],
+                "variance": [[0.7, 0.5, 0.9], [0.4, 0.6, 0.3], [0.3, 0.25, 0.3]],
+                "nonlinearity": "tanh"},
+        },
+    }
+    D3_DIGEST = "acb9945abf6adcc1e66bb8140fd8aa1160ef6716c3aee59884faab34ffa79bc2"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_d3_tanh_pair_output_digest(self, jobs, tmp_path):
+        config = tmp_path / "d3.json"
+        config.write_text(json.dumps(self.D3_PAIR))
+        out = tmp_path / "out.json"
+        assert main(
+            ["generate", "--config", str(config), "--format", "json", "--jobs", jobs]
+            + self.COMMON + ["--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.D3_DIGEST
+
+
 class TestCheckDistCommand:
     def test_rejects_too_few_runs(self, tiny_config_path):
         assert main(

@@ -229,6 +229,22 @@ class TestRunChain:
             redo = np.sqrt(traj.variances[row]) * traj.noise.block[row + 1] + traj.means[row]
             assert np.array_equal(redo, traj.outputs[row])
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_lazy_arrays_are_frozen_rows_of_the_float_columns(self, dim):
+        rng = np.random.default_rng(13 + dim)
+        spec = random_denoiser(rng, 4, dim, tanh_prob=0.5)
+        traj = run_chain(spec, rng.uniform(-1, 1, dim), draw_noise_record(4, dim, rng))
+        for name, columns in (("means", traj.mean_columns), ("outputs", traj.output_columns)):
+            assert len(columns) == dim and all(len(column) == 4 for column in columns)
+            assert all(type(v) is float for column in columns for v in column)
+            rows = getattr(traj, name)
+            assert rows.shape == (4, dim) and rows.dtype == np.float64
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+            assert rows.tolist() == [list(row) for row in zip(*columns)]
+            assert getattr(traj, name) is rows  # built once
+        assert traj.token == tuple(traj.outputs[-1].tolist())
+        assert traj.final_mean == tuple(traj.means[-1].tolist())
+
     def test_log_var_tail_matches_stored_step_params_exactly(self):
         rng = np.random.default_rng(12)
         spec = random_denoiser(rng, 6, 2)

@@ -295,7 +295,8 @@ class TestRejectionResample:
         for record, threshold in zip(records, thresholds):
             traj_q = run_chain(draft, cond_q, record, tau)
             candidate = run_chain(target, cond_p, record, tau).token
-            proposed = replace(traj_q, outputs=np.vstack([traj_q.outputs[:-1], candidate]))
+            outputs = tuple(c[:-1] + (x,) for c, x in zip(traj_q.output_columns, candidate))
+            proposed = replace(traj_q, output_columns=outputs)
             lr, traj_p = acceptance_log_ratio(proposed, target, cond_p, record, tau)
             assert tail_log_density_ratio(proposed, traj_p) != 0.0
             assert threshold == resample_threshold(lr)

@@ -178,6 +178,32 @@ class TestKSTwoSample:
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_statistic_equals_scipy_ks_2samp(self, ties):
+        rng = np.random.default_rng(41 + ties)
+        for n in (1, 2, 7, 50, 333, 1000, 2500):
+            for m in (2, 4, 50, 999, 1000, 3001):
+                a, b = rng.standard_normal(n), rng.standard_normal(m) + 0.05
+                if ties:  # values on a 0.1 grid repeat within and across the samples
+                    a, b = np.round(a, 1), np.round(b, 1)
+                stat, _ = ks_two_sample(a, b)
+                # method="exact" (the default for small samples) rounds D to a grid.
+                assert stat == scipy_stats.ks_2samp(a, b, method="asymp").statistic
+
+    def test_pvalue_is_the_kolmogorov_limit_near_scipy_asymp(self):
+        # The limiting law and scipy's finite-size one differ by about
+        # 0.28 / sqrt(nm / (n + m)) at worst (0.0123 at n = m = 1000, near D = 0.033).
+        rng = np.random.default_rng(43)
+        for n, m in ((1000, 1000), (1000, 3001), (1500, 1500), (4000, 2000)):
+            bound = 0.3 / math.sqrt(n * m / (n + m))
+            for shift in (0.0, 0.03, 0.06, 0.1):
+                a, b = rng.standard_normal(n), rng.standard_normal(m) + shift
+                stat, pval = ks_two_sample(a, b)
+                scipy_p = scipy_stats.ks_2samp(a, b, method="asymp").pvalue
+                assert abs(pval - scipy_p) < bound
+                limit = scipy_stats.kstwobign.sf(math.sqrt(n * m / (n + m)) * stat)
+                assert pval == pytest.approx(limit, rel=1e-12)
+
     def test_critical_value_formula(self):
         # sqrt(-0.5*ln(alpha/2)) * sqrt(2/n) at alpha = 0.01
         assert ks_critical_value(50_000, 50_000, 0.01) == pytest.approx(
@@ -186,6 +212,12 @@ class TestKSTwoSample:
 
 
 class TestChiSquareGof:
+    def test_critical_value_has_the_bits_of_scipy_chi2_ppf(self):
+        for df in range(1, 200):
+            for significance in (0.001, 0.01, 0.05, 0.1, 0.5):
+                want = scipy_stats.chi2.ppf(1.0 - significance, df)
+                assert chi_square_critical(df, significance) == want
+
     def pair(self):
         return residual_distribution_grid(
             gaussian_density(0.0, 1.0), gaussian_density(1.0, 1.0), std_grid()
@@ -299,7 +331,9 @@ codes = [cli.main(argv) for argv in (
 )]
 loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
 oracle.ks_two_sample([0.0, 1.0], [0.5, 2.0])
-print(json.dumps({"codes": codes, "loaded": loaded, "after_ks": "scipy.stats" in sys.modules}))
+oracle.chi_square_critical(3, 0.01)
+after = {name: name in sys.modules for name in ("scipy.special", "scipy.stats")}
+print(json.dumps({"codes": codes, "loaded": loaded, "after_tests": after}))
 """
 
 
@@ -312,4 +346,5 @@ def test_scipy_is_loaded_only_by_a_statistical_test(tmp_path):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0, 0, 0]
     assert result["loaded"] == []
-    assert result["after_ks"] is True
+    # The statistics need scipy.special only; scipy.stats would cost about 47 MB more.
+    assert result["after_tests"] == {"scipy.special": True, "scipy.stats": False}
