@@ -23,7 +23,7 @@ noise = draw_noise_record(config.steps, config.dim, rng)
 
 traj_q = run_chain(draft.denoiser, cond_q, noise)
 print(f"draft token (chain output): {traj_q.token[0]:+.4f}")
-print(f"intermediate draft states:  {[f'{x[0]:+.4f}' for x in traj_q.outputs]}")
+print(f"intermediate draft states:  {[f'{x:+.4f}' for x in traj_q.output_columns[0]]}")
 
 log_ratio, traj_p = acceptance_log_ratio(traj_q, target.denoiser, cond_p, noise)
 brute_force = full_chain_log_ratio(

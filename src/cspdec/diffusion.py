@@ -11,12 +11,12 @@ noise, which is what makes their step-density ratio telescope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .gaussian import LOG_2PI, VARIANCE_FLOOR, diag_variance_terms, vector_floats
+from .gaussian import VARIANCE_FLOOR, diag_variance_terms, vector_floats
 
 NONLINEARITIES = ("identity", "tanh")
 
@@ -42,6 +42,8 @@ def _as_step_matrix(values, name: str) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
+    if arr.shape[1] == 0:
+        raise ValueError(f"{name} must have at least one column, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -182,19 +184,21 @@ class DenoiserSpec:
 
 @dataclass(frozen=True)
 class NoiseRecord:
-    """Pre-drawn standard-normal noise for one chain, as one ``(T + 1, d)`` block.
+    """Pre-drawn standard-normal noise for one chain, as per-coordinate float columns.
 
-    Row 0 is ``x_T`` and rows 1..T are the step draws in execution order,
-    matching :class:`DenoiserSpec`.  The block is a checked copy of the
-    caller's, frozen.
+    ``NoiseRecord(block)`` takes a caller's ``(T + 1, d)`` block: row 0 is
+    ``x_T`` and rows 1..T are the step draws in execution order, matching
+    :class:`DenoiserSpec`.  The block is checked and read once into
+    ``columns``: for each coordinate, a tuple of its T + 1 Python floats,
+    ``x_T`` first.  The caller's array is not kept.
     """
 
-    block: np.ndarray
+    block: InitVar[object]
+    columns: tuple[tuple[float, ...], ...] = field(init=False)
 
-    def __post_init__(self):
-        z = _as_step_matrix(self.block, "noise block")
-        z.flags.writeable = False
-        object.__setattr__(self, "block", z)
+    def __post_init__(self, block):
+        z = _as_step_matrix(block, "noise block")
+        object.__setattr__(self, "columns", tuple(map(tuple, z.T.tolist())))
 
 
 def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRecord:
@@ -202,26 +206,18 @@ def draw_noise_record(steps: int, dim: int, rng: np.random.Generator) -> NoiseRe
 
     One ``(steps + 1, dim)`` draw: ``x_T`` is its first row and the step
     noises the rest, the same stream order as drawing ``x_T`` first.  The
-    drawn block is fresh, float64 and finite, and nothing else holds it, so
-    it is frozen in place and becomes the record as it is, without the copy
-    and the finiteness check that ``NoiseRecord(...)`` gives a caller's array.
+    drawn block is fresh, float64 and finite, so it is read into the
+    record's float columns without the check that ``NoiseRecord(...)``
+    gives a caller's array.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     block = rng.standard_normal((steps + 1, dim))
-    block.flags.writeable = False
     record = object.__new__(NoiseRecord)
-    object.__setattr__(record, "block", block)
+    object.__setattr__(record, "columns", tuple(map(tuple, block.T.tolist())))
     return record
-
-
-def _frozen_rows(columns: tuple[tuple[float, ...], ...]) -> np.ndarray:
-    """A new read-only C-contiguous ``(T, d)`` float64 array from ``d`` columns of ``T`` floats."""
-    rows = np.array(columns, dtype=np.float64).T.copy()
-    rows.flags.writeable = False
-    return rows
 
 
 @dataclass(frozen=True)
@@ -232,10 +228,8 @@ class DenoisingTrajectory:
     intermediate state, and the :class:`ChainPlan` it ran on.
     ``mean_columns`` and ``output_columns`` hold, for each coordinate, the
     tuple of its step means and of its states, as Python floats in execution
-    order; the engine reads nothing else.  ``means`` and ``outputs`` are the
-    same values as read-only C-contiguous ``(T, d)`` float64 arrays, built the
-    first time they are read.  ``variances`` (temperature already folded in)
-    and ``log_var_tail`` are the plan's, shared read-only by every chain of
+    order.  ``variances`` (temperature already folded in) and
+    ``log_var_tail`` are the plan's, shared read-only by every chain of
     that denoiser at that temperature; ``log_var_tail`` is
     ``0.5 * sum(log var)`` over all steps except the last, the quantity whose
     difference between two aligned chains is the telescoped density-ratio
@@ -246,21 +240,6 @@ class DenoisingTrajectory:
     mean_columns: tuple[tuple[float, ...], ...]
     output_columns: tuple[tuple[float, ...], ...]
     plan: ChainPlan
-
-    def _rows(self, key: str, columns: tuple[tuple[float, ...], ...]) -> np.ndarray:
-        # The frozen dataclass's __setattr__ is bypassed: the cache is no field.
-        rows = self.__dict__.get(key)
-        if rows is None:
-            rows = self.__dict__[key] = _frozen_rows(columns)
-        return rows
-
-    @property
-    def means(self) -> np.ndarray:
-        return self._rows("_means", self.mean_columns)
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self._rows("_outputs", self.output_columns)
 
     @property
     def variances(self) -> np.ndarray:
@@ -318,7 +297,7 @@ def run_chain(
     cond : array_like
         Conditioning d-vector, held fixed for the whole chain.
     noise : NoiseRecord
-        Pre-drawn noise; its block must be ``(spec.steps + 1, spec.dim)``.
+        Pre-drawn noise, read from a ``(spec.steps + 1, spec.dim)`` block.
     temperature : float
         Multiplies every step variance by ``temperature**2``, in sampling and
         in the recorded densities alike.  Must be positive.
@@ -338,10 +317,11 @@ def run_chain(
         all coordinates.
     """
     cond = vector_floats(cond, dim=spec.dim, name="cond")
-    block = noise.block
+    columns = noise.columns
     shape = spec.state_coef.shape
-    if block.shape != (shape[0] + 1, shape[1]):
-        raise ValueError(f"noise block shape {block.shape} does not fit denoiser shape {shape}")
+    block_shape = (len(columns[0]), len(columns))
+    if block_shape != (shape[0] + 1, shape[1]):
+        raise ValueError(f"noise block shape {block_shape} does not fit denoiser shape {shape}")
     plan = spec.plan(temperature)
 
     steps = shape[0]
@@ -350,7 +330,7 @@ def run_chain(
     # The execution index of the first non-finite output over all coordinates:
     # a later one can come back finite through tanh.
     first = steps
-    for column, k, (x, *eps) in zip(plan.columns, cond, block.T.tolist()):
+    for column, k, (x, *eps) in zip(plan.columns, cond, columns):
         means, outputs = [], []
         for (a, c, b, scale), e in zip(column, eps):
             mean = a * x + c * k + b
@@ -385,18 +365,3 @@ def tail_log_density_ratio(traj_q: DenoisingTrajectory, traj_p: DenoisingTraject
         raise ValueError("trajectories must share step count and dimension")
     return traj_q.log_var_tail - traj_p.log_var_tail
 
-
-def trajectory_logpdf_terms(traj: DenoisingTrajectory) -> np.ndarray:
-    """Per-step log-density of each recorded output under its own step params.
-
-    Mostly a verification helper: summing these reproduces the full-chain
-    log-density of the realized trajectory (the ``x_T`` prior term excluded).
-    """
-    terms = np.empty(traj.steps)
-    for row in range(traj.steps):
-        dev = traj.outputs[row] - traj.means[row]
-        terms[row] = np.sum(
-            -0.5 * (LOG_2PI + np.log(traj.variances[row]))
-            - dev * dev / (2.0 * traj.variances[row])
-        )
-    return terms

@@ -19,9 +19,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .autoregressive import Model
-from .diffusion import DenoiserSpec, NoiseRecord, run_chain, trajectory_logpdf_terms
+from .diffusion import DenoiserSpec, DenoisingTrajectory, NoiseRecord, run_chain
 from .engine import RunStats, SpecDecodeConfig
-from .gaussian import GaussianParams, as_vector, gaussian_logpdf
+from .gaussian import LOG_2PI, GaussianParams, as_vector, gaussian_logpdf
 from .parallel import baseline_token_matrix, speculative_token_matrix
 from .rng import replicate_seed
 
@@ -139,6 +139,21 @@ def gaussian_density(mean: float, variance: float) -> Density:
     return pdf
 
 
+def trajectory_logpdf_terms(traj: DenoisingTrajectory) -> np.ndarray:
+    """Per-step log-density of each recorded output under its own step params.
+
+    Summing these reproduces the full-chain log-density of the realized
+    trajectory (the ``x_T`` prior term excluded).  The ``(T, d)`` rows of
+    means and outputs are built here from the trajectory's float columns.
+    """
+    means, outputs = np.array(traj.mean_columns).T, np.array(traj.output_columns).T
+    terms = np.empty(traj.steps)
+    for row, var in enumerate(traj.variances):
+        dev = outputs[row] - means[row]
+        terms[row] = np.sum(-0.5 * (LOG_2PI + np.log(var)) - dev * dev / (2.0 * var))
+    return terms
+
+
 def full_chain_log_ratio(
     draft: DenoiserSpec,
     target: DenoiserSpec,
@@ -163,7 +178,7 @@ def full_chain_log_ratio(
     q_terms = trajectory_logpdf_terms(traj_q)
     p_terms = trajectory_logpdf_terms(traj_p)
     # Replace the target's own final output with the token under verification.
-    p_last = gaussian_logpdf(x_out, GaussianParams(traj_p.means[-1], traj_p.variances[-1]))
+    p_last = gaussian_logpdf(x_out, GaussianParams(traj_p.final_mean, traj_p.variances[-1]))
     return float(p_terms[:-1].sum() + p_last - q_terms.sum())
 
 

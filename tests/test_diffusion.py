@@ -1,7 +1,7 @@
 import math
 import pickle
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from cspdec.diffusion import (
     draw_noise_record,
     run_chain,
     tail_log_density_ratio,
-    trajectory_logpdf_terms,
 )
 from cspdec.engine import acceptance_log_ratio
 from cspdec.gaussian import (
@@ -24,9 +23,14 @@ from cspdec.gaussian import (
     as_vector,
     gaussian_logpdf,
 )
-from cspdec.oracle import analytic_marginal
+from cspdec.oracle import analytic_marginal, trajectory_logpdf_terms
 
 from conftest import BELOW_FLOOR, random_denoiser, step_mean
+
+
+def rows(columns):
+    """Per-coordinate float columns as the ``(rows, d)`` float64 array they transpose to."""
+    return np.array(columns, dtype=np.float64).T
 
 
 def passthrough_spec(steps=2, dim=1):
@@ -54,16 +58,16 @@ class TestDrawNoiseRecord:
     def test_deterministic_per_seed(self):
         a = draw_noise_record(2, 1, np.random.default_rng(7))
         b = draw_noise_record(2, 1, np.random.default_rng(7))
-        assert np.array_equal(a.block, b.block)
+        assert a.columns == b.columns
 
     def test_distinct_seeds_differ(self):
         a = draw_noise_record(2, 1, np.random.default_rng(1))
         b = draw_noise_record(2, 1, np.random.default_rng(2))
-        assert not np.array_equal(a.block, b.block)
+        assert a.columns != b.columns
 
     def test_shapes(self):
         rec = draw_noise_record(3, 2, np.random.default_rng(0))
-        assert rec.block.shape == (4, 2)
+        assert len(rec.columns) == 2 and all(len(column) == 4 for column in rec.columns)
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -73,31 +77,45 @@ class TestDrawNoiseRecord:
     def test_stream_order_is_x_init_then_step_noise(self, steps, dim):
         # Every seeded run replays this order: x_T's d normals, then the
         # (T, d) step noises, then whatever the caller draws next.  The record
-        # holds the drawn block itself, frozen.
+        # holds the drawn block as one tuple of floats per coordinate.
         rng, twin = np.random.default_rng(41), np.random.default_rng(41)
         rec = draw_noise_record(steps, dim, rng)
-        assert np.array_equal(rec.block[0], twin.standard_normal(dim))
-        assert np.array_equal(rec.block[1:], twin.standard_normal((steps, dim)))
+        assert np.array_equal(rows(rec.columns)[0], twin.standard_normal(dim))
+        assert np.array_equal(rows(rec.columns)[1:], twin.standard_normal((steps, dim)))
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random() == twin.random()
-        assert rec.block.dtype == np.float64 and rec.block.flags.c_contiguous
-        with pytest.raises(ValueError):
-            rec.block[0, 0] = 1.0
+        assert type(rec.columns) is tuple and len(rec.columns) == dim
+        for column in rec.columns:
+            assert type(column) is tuple and len(column) == steps + 1
+            assert all(type(value) is float for value in column)
 
 
 class TestNoiseRecord:
-    def test_x_init_and_eps_are_read_only_views_of_the_block(self):
-        # x_T is row 0 of the block and the step noises are the rest.
-        record = NoiseRecord([[0.4], [0.3], [-0.7]])
-        assert np.array_equal(record.block, [[0.4], [0.3], [-0.7]])
-        for view in (record.block, record.block[0], record.block[1:]):
-            with pytest.raises(ValueError):
-                view[0] = 1.0
+    def test_block_is_read_into_one_float_column_per_coordinate(self):
+        # x_T is row 0 of the block and the step noises are the rest; a 1-D
+        # block is one coordinate.
+        record = NoiseRecord([[0.4, 1.5], [0.3, -2.0], [-0.7, 0.25]])
+        assert record.columns == ((0.4, 0.3, -0.7), (1.5, -2.0, 0.25))
+        assert all(type(value) is float for column in record.columns for value in column)
+        assert NoiseRecord(np.array([0.4, 0.3, -0.7])).columns == ((0.4, 0.3, -0.7),)
+        assert [field.name for field in fields(record)] == ["columns"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             NoiseRecord([[0.4], [bad], [-0.7]])
+
+    @pytest.mark.parametrize("block", [0.4, np.zeros((3, 1, 1)), [[[0.4]], [[0.3]]]])
+    def test_block_that_is_not_2_d_rejected(self, block):
+        with pytest.raises(ValueError, match="noise block must be a 2-D array"):
+            NoiseRecord(block)
+
+    def test_block_without_coordinates_rejected(self):
+        # No denoiser has d = 0, and the record's columns could not give a
+        # (T + 1, 0) block's row count back to the shape check.
+        want = "noise block must have at least one column, got shape (4, 0)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            NoiseRecord(np.zeros((4, 0)))
 
 
 class TestRunChain:
@@ -105,13 +123,13 @@ class TestRunChain:
         spec = passthrough_spec(steps=3, dim=2)
         noise = NoiseRecord([[0.7, -1.1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         traj = run_chain(spec, [0.0, 0.0], noise)
-        assert np.array_equal(traj.token, noise.block[0])
+        assert traj.token == (0.7, -1.1)
 
     def test_hand_iterated_two_step_chain(self):
         spec = decoupled_spec(offsets=[0.0, 0.0], variances=[1.0, 1.0])
         noise = NoiseRecord([[5.0], [0.3], [-0.7]])
         traj = run_chain(spec, [0.0], noise)
-        assert traj.outputs[0] == pytest.approx([0.3])
+        assert traj.output_columns[0][0] == pytest.approx(0.3)
         assert traj.token == pytest.approx([-0.7])
 
     def test_temperature_scales_noise_and_tail(self):
@@ -119,7 +137,7 @@ class TestRunChain:
         noise = NoiseRecord([[5.0], [0.3], [-0.7]])
         base = run_chain(spec, [0.0], noise, temperature=1.0)
         hot = run_chain(spec, [0.0], noise, temperature=2.0)
-        assert hot.outputs[0] == pytest.approx([0.6])
+        assert hot.output_columns[0][0] == pytest.approx(0.6)
         assert hot.token == pytest.approx([-1.4])
         assert hot.log_var_tail - base.log_var_tail == pytest.approx(0.5 * math.log(4.0))
 
@@ -130,7 +148,8 @@ class TestRunChain:
         cond = rng.uniform(-1, 1, 3)
         a = run_chain(spec, cond, noise, temperature=1.3)
         b = run_chain(spec, cond, noise, temperature=1.3)
-        assert np.array_equal(a.outputs, b.outputs)
+        assert a.mean_columns == b.mean_columns
+        assert a.output_columns == b.output_columns
         assert a.log_var_tail == b.log_var_tail
 
     def test_cond_is_read_without_a_copy_or_a_freeze(self):
@@ -143,17 +162,17 @@ class TestRunChain:
         assert cond.flags.writeable and cond.base is None
         assert np.array_equal(cond, before)
         from_list = run_chain(spec, cond.tolist(), noise)
-        assert np.array_equal(from_list.outputs, traj.outputs)
+        assert from_list.output_columns == traj.output_columns
         cond[...] = 9.0
-        assert np.array_equal(run_chain(spec, before, noise).outputs, traj.outputs)
+        assert run_chain(spec, before, noise).output_columns == traj.output_columns
 
     def test_zero_d_cond_is_one_component_at_d_1(self):
         rng = np.random.default_rng(32)
         spec = random_denoiser(rng, 3, 1)
         noise = draw_noise_record(3, 1, rng)
-        want = run_chain(spec, [0.4], noise).outputs
+        want = run_chain(spec, [0.4], noise).output_columns
         for cond in (0.4, np.float64(0.4), np.array(0.4)):
-            assert np.array_equal(run_chain(spec, cond, noise).outputs, want)
+            assert run_chain(spec, cond, noise).output_columns == want
 
     @pytest.mark.parametrize(
         "cond",
@@ -225,25 +244,37 @@ class TestRunChain:
         spec = random_denoiser(rng, 4, 2)
         noise = draw_noise_record(4, 2, rng)
         traj = run_chain(spec, [0.1, -0.2], noise, temperature=0.8)
+        eps, means = rows(traj.noise.columns)[1:], rows(traj.mean_columns)
+        outputs = rows(traj.output_columns)
         for row in range(traj.steps):
-            redo = np.sqrt(traj.variances[row]) * traj.noise.block[row + 1] + traj.means[row]
-            assert np.array_equal(redo, traj.outputs[row])
+            redo = np.sqrt(traj.variances[row]) * eps[row] + means[row]
+            assert np.array_equal(redo, outputs[row])
 
+    @pytest.mark.parametrize("nonlinearity", ["identity", "tanh"])
     @pytest.mark.parametrize("dim", [1, 3])
-    def test_lazy_arrays_are_frozen_rows_of_the_float_columns(self, dim):
+    def test_records_and_trajectories_hold_only_float_columns(self, dim, nonlinearity):
+        # A chain's values have one form, from the noise draw to the token: no
+        # numpy array is kept beside the columns.  Only the plan holds arrays.
         rng = np.random.default_rng(13 + dim)
-        spec = random_denoiser(rng, 4, dim, tanh_prob=0.5)
-        traj = run_chain(spec, rng.uniform(-1, 1, dim), draw_noise_record(4, dim, rng))
-        for name, columns in (("means", traj.mean_columns), ("outputs", traj.output_columns)):
-            assert len(columns) == dim and all(len(column) == 4 for column in columns)
-            assert all(type(v) is float for column in columns for v in column)
-            rows = getattr(traj, name)
-            assert rows.shape == (4, dim) and rows.dtype == np.float64
-            assert rows.flags.c_contiguous and not rows.flags.writeable
-            assert rows.tolist() == [list(row) for row in zip(*columns)]
-            assert getattr(traj, name) is rows  # built once
-        assert traj.token == tuple(traj.outputs[-1].tolist())
-        assert traj.final_mean == tuple(traj.means[-1].tolist())
+        spec = replace(random_denoiser(rng, 4, dim), nonlinearity=nonlinearity)
+        noise = draw_noise_record(4, dim, rng)
+        traj = run_chain(spec, rng.uniform(-1, 1, dim), noise)
+        assert vars(noise) == {"columns": noise.columns}
+        assert vars(traj) == {
+            "noise": noise,
+            "mean_columns": traj.mean_columns,
+            "output_columns": traj.output_columns,
+            "plan": spec.plan(1.0),
+        }
+        for columns, length in (
+            (noise.columns, 5), (traj.mean_columns, 4), (traj.output_columns, 4)
+        ):
+            assert type(columns) is tuple and len(columns) == dim
+            for column in columns:
+                assert type(column) is tuple and len(column) == length
+                assert all(type(value) is float for value in column)
+        assert traj.token == tuple(column[-1] for column in traj.output_columns)
+        assert traj.final_mean == tuple(column[-1] for column in traj.mean_columns)
 
     def test_log_var_tail_matches_stored_step_params_exactly(self):
         rng = np.random.default_rng(12)
@@ -259,11 +290,12 @@ class TestChainPlan:
         """Reference chain on numpy rows: constants per call, means by ``step_mean``."""
         variances = float(tau) ** 2 * spec.variance
         scales = np.sqrt(variances)
-        means, outputs = np.empty(noise.block[1:].shape), np.empty(noise.block[1:].shape)
-        x = noise.block[0]
+        block = rows(noise.columns)
+        means, outputs = np.empty(block[1:].shape), np.empty(block[1:].shape)
+        x = block[0]
         for row in range(spec.steps):
             means[row] = step_mean(spec, row, x, cond)
-            x = outputs[row] = scales[row] * noise.block[row + 1] + means[row]
+            x = outputs[row] = scales[row] * block[row + 1] + means[row]
         return means, outputs, variances, float(0.5 * np.log(variances[:-1]).sum())
 
     @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-5])
@@ -279,11 +311,8 @@ class TestChainPlan:
                 means, outputs, variances, log_var_tail = self.per_call_chain(
                     spec, cond, noise, tau
                 )
-                assert np.array_equal(traj.means, means)
-                assert np.array_equal(traj.outputs, outputs)
-                for arr in (traj.means, traj.outputs):
-                    assert arr.dtype == np.float64 and arr.flags.c_contiguous
-                    assert not arr.flags.writeable
+                assert np.array_equal(rows(traj.mean_columns), means)
+                assert np.array_equal(rows(traj.output_columns), outputs)
                 assert np.array_equal(traj.variances, variances)
                 assert traj.log_var_tail == log_var_tail
 
@@ -363,8 +392,9 @@ class TestChainPlan:
         copy = pickle.loads(pickle.dumps(spec))
         after = run_chain(copy, cond, noise, 1.3)
         assert after.plan is not before.plan
-        for name in ("means", "outputs", "variances"):
-            assert np.array_equal(getattr(after, name), getattr(before, name))
+        assert after.mean_columns == before.mean_columns
+        assert after.output_columns == before.output_columns
+        assert np.array_equal(after.variances, before.variances)
         assert after.log_var_tail == before.log_var_tail
         assert not after.variances.flags.writeable
 
@@ -387,9 +417,10 @@ class TestLastStepLogpdf:
         spec = random_denoiser(rng, 3, 1)
         cond = rng.uniform(-1, 1, 1)
         traj = run_chain(spec, cond, draw_noise_record(3, 1, rng))
-        via_substitution = final_step_logpdf(spec, cond, traj.outputs[-2], traj.token)
+        x_prev = [column[-2] for column in traj.output_columns]
+        via_substitution = final_step_logpdf(spec, cond, x_prev, traj.token)
         via_record = gaussian_logpdf(
-            traj.token, GaussianParams(traj.means[-1], traj.variances[-1])
+            traj.token, GaussianParams(traj.final_mean, traj.variances[-1])
         )
         assert via_substitution == pytest.approx(via_record, abs=1e-12)
 
@@ -575,19 +606,22 @@ class TestSpecValidation:
             arr[...] = 9.0
         assert np.array_equal(spec.state_coef, [[0.5], [0.5]])
         assert np.array_equal(spec.variance, [[0.8], [0.8]])
-        assert np.array_equal(record.block, [[0.4], [0.3], [-0.7]])
+        assert record.columns == ((0.4, 0.3, -0.7),)
         assert spec.plan(1.0) is plan and np.array_equal(plan.variances, [[0.8], [0.8]])
         again = run_chain(spec, [0.1], record)
-        assert np.array_equal(again.outputs, before.outputs)
+        assert again.output_columns == before.output_columns
 
     def test_noise_record_shape_mismatch_rejected(self):
-        # A three-step chain in one dimension needs a (4, 1) block: x_T plus
-        # one row per step.
-        spec = passthrough_spec(steps=3, dim=1)
-        for noise in (
-            draw_noise_record(2, 1, np.random.default_rng(0)),
-            NoiseRecord(np.zeros((5, 1))),
-            NoiseRecord(np.zeros((4, 2))),
-        ):
-            with pytest.raises(ValueError, match="noise block shape"):
-                run_chain(spec, [0.0], noise)
+        # A three-step chain in d dimensions needs a (4, d) block: x_T plus one
+        # row per step.  The last case is a transposed (d, T + 1) block at d = 3,
+        # rows and columns swapped; the message names the block as it was given.
+        cases = [
+            (1, draw_noise_record(2, 1, np.random.default_rng(0)), (3, 1)),
+            (1, NoiseRecord(np.zeros((5, 1))), (5, 1)),
+            (1, NoiseRecord(np.zeros((4, 2))), (4, 2)),
+            (3, NoiseRecord(np.zeros((3, 4))), (3, 4)),
+        ]
+        for dim, noise, shape in cases:
+            want = f"noise block shape {shape} does not fit denoiser shape {(3, dim)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                run_chain(passthrough_spec(steps=3, dim=dim), [0.0] * dim, noise)

@@ -146,7 +146,7 @@ class TestAcceptanceLogRatio:
 
     @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3, 1e-5])
     def test_trajectory_rows_give_the_gaussian_params_bits(self, tau):
-        # The final-step densities are read off the trajectory arrays; they
+        # The final-step densities are read off the trajectory columns; they
         # must equal the GaussianParams path exactly.
         rng = np.random.default_rng(int(tau * 1e7))
         t2 = tau**2
@@ -158,11 +158,12 @@ class TestAcceptanceLogRatio:
             traj_q = run_chain(draft, cond_q, noise, tau)
             x = traj_q.token
             lr, traj_p = acceptance_log_ratio(traj_q, target, cond_p, noise, tau)
-            p_mean = step_mean(target, steps - 1, traj_p.outputs[-2], cond_p)
+            x_prev = np.array([column[-2] for column in traj_p.output_columns])
+            p_mean = step_mean(target, steps - 1, x_prev, cond_p)
             expected = (
                 tail_log_density_ratio(traj_q, traj_p)
                 + gaussian_logpdf(x, GaussianParams(p_mean, t2 * target.variance[-1]))
-                - gaussian_logpdf(x, GaussianParams(traj_q.means[-1], traj_q.variances[-1]))
+                - gaussian_logpdf(x, GaussianParams(traj_q.final_mean, traj_q.variances[-1]))
             )
             assert lr == expected
 

@@ -140,7 +140,7 @@ class TestFullChainLogRatio:
         assert worst < 1e-9
 
     def test_per_step_terms_reduce_to_variance_ratio_under_shared_noise(self):
-        from cspdec.diffusion import trajectory_logpdf_terms
+        from cspdec.oracle import trajectory_logpdf_terms
 
         rng = np.random.default_rng(3)
         spec_q = random_denoiser(rng, 5, 2, tanh_prob=0.0)
